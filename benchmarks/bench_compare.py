@@ -7,13 +7,10 @@ CI gates them tightly; the headline assertion is that the claim holds
 through the declarative ``Redesign`` spec exactly as it did through the
 bespoke command it replaced.
 
-The report additionally carries an interleaved-vs-sequential wall-clock
-pair (``interleaved_wall_ms``/``sequential_wall_ms``): the engine now
-submits both sides' pair jobs to one shared worker pool instead of
-sweeping sides back to back, and this benchmark records what each
-scheduling costs on the same matrix.  The wall counters are
-machine-dependent and deliberately *not* in the committed baseline —
-only the deterministic counts are gated.
+The report additionally carries the run's wall clock
+(``interleaved_wall_ms``: both sides' pair jobs go through one shared
+batch).  It is machine-dependent and deliberately *not* in the
+committed baseline — only the deterministic counts are gated.
 """
 
 from repro.compare import run_compare
@@ -33,12 +30,6 @@ def test_compare_sweep(benchmark):
     assert unordered["conflict_free"]["scalefs"] == unordered["total_tests"]
     assert ordered["conflict_free"]["scalefs"] == 0
 
-    # The scheduling comparison: same matrix, shared-pool interleaving
-    # vs the historical side-after-side execution (identical summaries,
-    # verified here as well as in tests/compare/test_interleaved.py).
-    sequential = run_compare("sockets", interleave=False)
-    assert sequential.summaries == result.summaries
-
     benchmark.extra_info.update({
         "checks": len(result.claim["checks"]),
         "checks_passed": sum(c["holds"] for c in result.claim["checks"]),
@@ -49,7 +40,6 @@ def test_compare_sweep(benchmark):
         "redesigned_scalefs_conflict_free":
             unordered["conflict_free"]["scalefs"],
         "interleaved_wall_ms": round(result.elapsed_seconds * 1000, 1),
-        "sequential_wall_ms": round(sequential.elapsed_seconds * 1000, 1),
     })
     print(
         f"\ncompare sweep [sockets]: baseline "
@@ -63,8 +53,7 @@ def test_compare_sweep(benchmark):
         f"{'HOLDS' if result.holds else 'DOES NOT HOLD'} "
         f"({sum(c['holds'] for c in result.claim['checks'])}/"
         f"{len(result.claim['checks'])} checks); "
-        f"interleaved {result.elapsed_seconds * 1000:.0f}ms vs "
-        f"sequential {sequential.elapsed_seconds * 1000:.0f}ms"
+        f"{result.elapsed_seconds * 1000:.0f}ms"
     )
 
 

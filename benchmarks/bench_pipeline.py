@@ -1,4 +1,4 @@
-"""Pipeline execution-layer benchmarks: drivers and the result cache.
+"""Pipeline execution-layer benchmarks: backends and the result cache.
 
 Times one pair slice three ways — serial, process-pool sharded, and a
 fully cached re-run — so regressions in the sweep machinery itself (job
@@ -9,9 +9,9 @@ On a multi-core machine the parallel sweep should approach
 
 from repro.model.posix import op_by_name
 from repro.pipeline import (
-    ParallelDriver,
+    PoolBackend,
     ResultCache,
-    SerialDriver,
+    SerialBackend,
     default_workers,
     run_sweep,
 )
@@ -25,7 +25,7 @@ def _ops():
 
 def test_sweep_serial(benchmark):
     result = benchmark.pedantic(
-        lambda: run_sweep(ops=_ops(), driver=SerialDriver()),
+        lambda: run_sweep(ops=_ops(), backend=SerialBackend()),
         iterations=1, rounds=1,
     )
     benchmark.extra_info["total_tests"] = result.total_tests
@@ -35,7 +35,7 @@ def test_sweep_serial(benchmark):
 def test_sweep_parallel(benchmark):
     workers = max(2, default_workers())
     result = benchmark.pedantic(
-        lambda: run_sweep(ops=_ops(), driver=ParallelDriver(workers)),
+        lambda: run_sweep(ops=_ops(), backend=PoolBackend(workers)),
         iterations=1, rounds=1,
     )
     benchmark.extra_info["workers"] = workers

@@ -260,8 +260,8 @@ def _interface_pair_task(
     max_paths: int,
     pair: tuple[OpDef, OpDef],
 ) -> PairResult:
-    """One pair of an interface sweep (module-level so drivers can ship it
-    to worker processes via :func:`functools.partial`)."""
+    """One pair of an interface sweep (module-level so backends can ship
+    it to worker processes via :func:`functools.partial`)."""
     op0, op1 = pair
     pair_solver = solver if solver is not None else Solver()
     return analyze_pair(build_state, state_equal, op0, op1, pair_solver,
@@ -275,30 +275,31 @@ def analyze_interface(
     solver: Optional[Solver] = None,
     pair_filter: Optional[Callable[[OpDef, OpDef], bool]] = None,
     on_pair: Optional[Callable[[PairResult], None]] = None,
-    driver=None,
+    backend=None,
     max_paths: int = 20000,
 ) -> list[PairResult]:
     """Analyze every unordered pair of operations (including self-pairs).
 
-    The pair loop runs through a :mod:`repro.pipeline.drivers` driver
-    (serial by default); pair analyses are independent, so any driver
-    returns the same result list, always in matrix order.  A parallel
-    driver requires the model's states and results to be picklable —
-    the bundled POSIX model's states hold closures, so cross-process
-    sharding of the full pipeline happens in :mod:`repro.pipeline.sweep`
-    on plain-data job results instead.  A fresh solver per pair keeps
-    memoization tables bounded.  ``on_pair`` lets callers stream progress
-    (the Figure 6 pipeline runs for a while); with a parallel driver it
-    fires in completion order.
+    The pair loop runs through a :mod:`repro.pipeline.backends` execution
+    backend (serial by default); pair analyses are independent, so any
+    backend returns the same result list, always in matrix order.  A
+    parallel backend requires the model's states and results to be
+    picklable — the bundled POSIX model's states hold closures, so
+    cross-process sharding of the full pipeline happens in
+    :mod:`repro.pipeline.sweep` on plain-data job results instead.  A
+    fresh solver per pair keeps memoization tables bounded.  ``on_pair``
+    lets callers stream progress (the Figure 6 pipeline runs for a
+    while); with a parallel backend it fires in completion order.
     """
-    from repro.pipeline.drivers import SerialDriver
+    from repro.pipeline.backends import get_backend
     from repro.pipeline.sweep import iter_pairs
 
     task = functools.partial(
         _interface_pair_task, build_state, state_equal, solver, max_paths
     )
-    runner = driver if driver is not None else SerialDriver()
     on_result = None
     if on_pair is not None:
         on_result = lambda pair, result: on_pair(result)  # noqa: E731
-    return runner.map(task, iter_pairs(ops, pair_filter), on_result=on_result)
+    return get_backend(backend).map(
+        task, iter_pairs(ops, pair_filter), on_result=on_result
+    )

@@ -10,7 +10,7 @@
 * :mod:`repro.bench.report` — ASCII rendering of the matrices and series.
 """
 
-from repro.bench.heatmap import HeatmapResult, PairCells, run_heatmap
+from repro.bench.heatmap import HeatmapResult, run_heatmap
 from repro.bench.statbench import run_statbench
 from repro.bench.openbench import run_openbench
 from repro.bench.mailserver import run_mailserver
@@ -18,7 +18,6 @@ from repro.bench.report import render_heatmap, render_series
 
 __all__ = [
     "HeatmapResult",
-    "PairCells",
     "run_heatmap",
     "run_statbench",
     "run_openbench",

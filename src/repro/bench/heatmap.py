@@ -18,59 +18,12 @@ same-fd file offsets, length updates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.pipeline.jobs import (
-    RESIDUE_RULES as _RESIDUE_RULES,  # re-exported for compatibility
-    PairCellData,
-    classify_residue as _classify_residue,
-)
-from repro.pipeline.sweep import run_sweep
+from repro.pipeline.sweep import SweepResult, run_sweep
 
-#: One matrix cell.  The pipeline's plain-data record already carries
-#: exactly the fields the heatmap needs (plus path accounting), so the
-#: historical name is an alias rather than a parallel dataclass.
-PairCells = PairCellData
-
-
-@dataclass
-class HeatmapResult:
-    kernels: tuple[str, ...]
-    cells: list[PairCells]
-    residues: dict[str, dict[str, int]]
-    elapsed_seconds: float
-    op_names: list[str] = field(default_factory=list)
-    workers: int = 1
-    cached_pairs: int = 0
-    computed_pairs: int = 0
-    interface: str = "posix"
-    ncores: int = 4
-    backend: str = "serial"
-    backend_stats: dict = field(default_factory=dict)
-
-    @property
-    def total_tests(self) -> int:
-        return sum(c.total for c in self.cells)
-
-    @property
-    def solver_totals(self) -> dict:
-        from repro.pipeline.jobs import merge_solver_stats
-        return merge_solver_stats(self.cells)
-
-    def conflict_free_total(self, kernel: str) -> int:
-        return self.total_tests - sum(
-            c.not_conflict_free.get(kernel, 0) for c in self.cells
-        )
-
-    def summary(self) -> str:
-        parts = [f"{self.total_tests} commutative test cases"]
-        for kernel in self.kernels:
-            parts.append(
-                f"{kernel}: {self.conflict_free_total(kernel)} of "
-                f"{self.total_tests} conflict-free"
-            )
-        return "; ".join(parts)
+#: The Figure 6 result is the sweep's own record.
+HeatmapResult = SweepResult
 
 
 def run_heatmap(
@@ -80,7 +33,6 @@ def run_heatmap(
     on_progress: Optional[Callable[[str], None]] = None,
     workers: Optional[int] = None,
     cache=None,
-    driver=None,
     pair_filter=None,
     solver_cache_size: Optional[int] = None,
     interface: str = "posix",
@@ -91,13 +43,13 @@ def run_heatmap(
     serially — ``backend``/``workers`` pick the execution backend that
     shards pairs, ``cache`` makes re-runs incremental).  ``interface``
     selects a registered interface bundle (see
-    :mod:`repro.model.registry`)."""
-    sweep = run_sweep(
+    :mod:`repro.model.registry`).  :func:`~repro.pipeline.sweep.run_sweep`
+    with ``kernels`` as a name → factory dict."""
+    return run_sweep(
         ops=ops,
         kernels=None if kernels is None else tuple(kernels.items()),
         tests_per_path=tests_per_path,
         workers=workers,
-        driver=driver,
         cache=cache,
         pair_filter=pair_filter,
         on_progress=on_progress,
@@ -106,26 +58,6 @@ def run_heatmap(
         ncores=ncores,
         backend=backend,
     )
-    return HeatmapResult(
-        kernels=sweep.kernels,
-        cells=sweep.cells,
-        residues=sweep.residues,
-        elapsed_seconds=sweep.elapsed_seconds,
-        op_names=sweep.op_names,
-        workers=sweep.workers,
-        cached_pairs=sweep.cached_pairs,
-        computed_pairs=sweep.computed_pairs,
-        interface=sweep.interface,
-        ncores=sweep.ncores,
-        backend=sweep.backend,
-        backend_stats=sweep.backend_stats,
-    )
 
 
-__all__ = [
-    "HeatmapResult",
-    "PairCells",
-    "run_heatmap",
-    "_RESIDUE_RULES",
-    "_classify_residue",
-]
+__all__ = ["HeatmapResult", "run_heatmap"]

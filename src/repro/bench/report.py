@@ -94,8 +94,8 @@ def heatmap_to_dict(result: HeatmapResult) -> dict:
         "ops": list(result.op_names),
         "elapsed": result.elapsed_seconds,
         "workers": result.workers,
-        "backend": getattr(result, "backend", "serial"),
-        "backend_stats": dict(getattr(result, "backend_stats", {})),
+        "backend": result.backend,
+        "backend_stats": dict(result.backend_stats),
         "cached_pairs": result.cached_pairs,
         "computed_pairs": result.computed_pairs,
         "total": result.total_tests,
@@ -119,12 +119,10 @@ def heatmap_to_dict(result: HeatmapResult) -> dict:
     }
     # Results depend on both (they are part of the cache fingerprint);
     # the default POSIX 4-core artifact keeps its historical key set.
-    interface = getattr(result, "interface", "posix")
-    ncores = getattr(result, "ncores", 4)
-    if interface != "posix":
-        out["interface"] = interface
-    if interface != "posix" or ncores != 4:
-        out["ncores"] = ncores
+    if result.interface != "posix":
+        out["interface"] = result.interface
+    if result.interface != "posix" or result.ncores != 4:
+        out["ncores"] = result.ncores
     return out
 
 

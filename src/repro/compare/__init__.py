@@ -24,7 +24,6 @@ from repro.compare.engine import (
     COMPARE_SCHEMA,
     CompareResult,
     compare_to_dict,
-    legacy_sockets_payload,
     run_compare,
 )
 from repro.compare import builtin as _builtin  # registers the built-ins
@@ -44,6 +43,5 @@ __all__ = [
     "COMPARE_SCHEMA",
     "CompareResult",
     "compare_to_dict",
-    "legacy_sockets_payload",
     "run_compare",
 ]

@@ -2,21 +2,19 @@
 
 :func:`run_compare` drives the :mod:`repro.pipeline.sweep` seam —
 ANALYZER → TESTGEN → MTRACE through :class:`~repro.pipeline.jobs.PairJob`,
-the serial/parallel drivers and the fingerprinted result cache — for both
+an execution backend and the fingerprinted result cache — for both
 sides of a :class:`~repro.compare.spec.Redesign`, summarizes both sweeps,
-and evaluates the claim.  Both sides' jobs are *interleaved* through one
-shared worker pool by default (each job carries its own interface, state
-hooks and kernels, so a heterogeneous batch schedules like any other):
-with ``--workers N``, a big baseline side no longer drains before the
-redesigned side's first job starts.  ``interleave=False`` keeps the
-historical one-side-at-a-time execution; summaries are identical either
-way, which ``tests/compare/test_interleaved.py`` pins.
+and evaluates the claim.  Both sides' jobs go through one
+:func:`~repro.pipeline.sweep.execute_jobs` batch (each job carries its
+own interface, state hooks and kernels, so a heterogeneous batch
+schedules like any other): with ``--workers N``, a big baseline side
+does not drain before the redesigned side's first job starts.  Each
+side's summary equals that of a plain per-side
+:func:`~repro.pipeline.sweep.run_sweep`, which
+``tests/compare/test_interleaved.py`` pins.
 
 :func:`compare_to_dict` renders the result as the schema-versioned
-``results/compare_<name>.json`` artifact; :func:`legacy_sockets_payload`
-reshapes the sockets comparison into the historical
-``repro.sockets-comparison/1`` artifact the deprecated ``sockets-compare``
-command keeps emitting.
+``results/compare_<name>.json`` artifact.
 """
 
 from __future__ import annotations
@@ -26,17 +24,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.compare.spec import SIDES, Redesign, get_redesign
-from repro.pipeline.backends import resolve_backend
 from repro.pipeline.sweep import (
     SweepResult,
     build_pair_jobs,
     execute_jobs,
-    run_sweep,
     summarize_interface_sweep,
 )
 
 COMPARE_SCHEMA = "repro.compare/1"
-LEGACY_SOCKETS_SCHEMA = "repro.sockets-comparison/1"
 
 
 @dataclass
@@ -66,7 +61,6 @@ def run_compare(
     ncores: int = 4,
     on_progress: Optional[Callable[[str], None]] = None,
     solver_cache_size: Optional[int] = None,
-    interleave: bool = True,
     backend: Optional[object] = None,
 ) -> CompareResult:
     """Run one registered comparison end-to-end.
@@ -75,44 +69,46 @@ def run_compare(
     The remaining knobs are the sweep's: ``cache`` is shared across both
     sides (pair fingerprints already carry interface and ncores, so a
     compare run reuses — and feeds — the same entries as plain
-    ``heatmap`` sweeps of the same interfaces).  ``backend`` selects a
-    registered execution backend by name or instance (``workers`` sizes
-    it, or stands alone as the legacy serial/pool alias).  ``interleave``
-    runs both sides' pair jobs through one shared worker pool (the
-    default, when the backend's ``supports_interleave`` capability
-    allows it); ``False`` sweeps the sides sequentially — results are
-    identical either way.
+    ``heatmap`` sweeps of the same interfaces).  ``backend`` and
+    ``workers`` pick the execution backend both sides share.
+
+    Jobs carry their interface per unit, so the mixed batch schedules on
+    :func:`~repro.pipeline.sweep.execute_jobs` like any homogeneous one;
+    the combined cell list is split back into per-side
+    :class:`SweepResult`\\ s in matrix order afterwards.  Per-side
+    ``elapsed_seconds`` is the shared batch's wall clock — the backend
+    is shared, so there is no meaningful per-side split.
     """
     if isinstance(redesign, str):
         redesign = get_redesign(redesign)
-    if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
-        # One ResultCache for both sides (and both loads of it), rather
-        # than letting each sweep re-parse the cache file.
-        from repro.pipeline.cache import ResultCache
-
-        cache = ResultCache(cache)
-    resolved = resolve_backend(workers, None, backend)
     start = time.time()
-    if interleave and resolved.supports_interleave:
-        sweeps = _run_sides_interleaved(
-            redesign, tests_per_path=tests_per_path, backend=resolved,
-            cache=cache, ncores=ncores, on_progress=on_progress,
+    jobs = []
+    spans = {}
+    for side_name in SIDES:
+        side = redesign.sides[side_name]
+        ops, pair_filter = side.resolve()
+        if on_progress is not None:
+            on_progress(f"[{side_name}: {side.interface}] "
+                        f"{len(ops)} ops")
+        side_jobs = build_pair_jobs(
+            ops=ops, pair_filter=pair_filter, interface=side.interface,
+            tests_per_path=tests_per_path, ncores=ncores,
             solver_cache_size=solver_cache_size,
         )
-        backend_stats = resolved.stats()
-    else:
-        sweeps = _run_sides_sequential(
-            redesign, tests_per_path=tests_per_path, backend=resolved,
-            cache=cache, ncores=ncores, on_progress=on_progress,
-            solver_cache_size=solver_cache_size,
+        spans[side_name] = (ops, side.interface, len(jobs),
+                            len(jobs) + len(side_jobs))
+        jobs.extend(side_jobs)
+    executed = execute_jobs(
+        jobs, workers=workers, backend=backend, cache=cache,
+        on_progress=on_progress,
+    )
+    elapsed = time.time() - start
+    sweeps = {
+        side_name: SweepResult.from_executed(
+            executed, ops, interface, ncores, elapsed, lo, hi
         )
-        backend_stats = {
-            "backend": resolved.name,
-            "workers": resolved.workers,
-            "sides": {
-                name: sweep.backend_stats for name, sweep in sweeps.items()
-            },
-        }
+        for side_name, (ops, interface, lo, hi) in spans.items()
+    }
     summaries = {
         name: summarize_interface_sweep(sweep)
         for name, sweep in sweeps.items()
@@ -128,91 +124,9 @@ def run_compare(
         ncores=ncores,
         tests_per_path=tests_per_path,
         elapsed_seconds=time.time() - start,
-        backend=resolved.name,
-        backend_stats=backend_stats,
+        backend=executed.backend,
+        backend_stats=executed.backend_stats,
     )
-
-
-def _run_sides_sequential(
-    redesign: Redesign, tests_per_path, backend, cache, ncores,
-    on_progress, solver_cache_size,
-) -> dict[str, SweepResult]:
-    """The historical engine: one full sweep per side, in order."""
-    sweeps: dict[str, SweepResult] = {}
-    for side_name in SIDES:
-        side = redesign.sides[side_name]
-        ops, pair_filter = side.resolve()
-        if on_progress is not None:
-            on_progress(f"[{side_name}: {side.interface}] "
-                        f"{len(ops)} ops")
-        sweeps[side_name] = run_sweep(
-            ops=ops,
-            pair_filter=pair_filter,
-            interface=side.interface,
-            tests_per_path=tests_per_path,
-            driver=backend,
-            cache=cache,
-            ncores=ncores,
-            on_progress=on_progress,
-            solver_cache_size=solver_cache_size,
-        )
-    return sweeps
-
-
-def _run_sides_interleaved(
-    redesign: Redesign, tests_per_path, backend, cache, ncores,
-    on_progress, solver_cache_size,
-) -> dict[str, SweepResult]:
-    """Both sides' pair jobs through one shared worker pool.
-
-    Jobs carry their interface per unit, so the mixed batch schedules on
-    :func:`~repro.pipeline.sweep.execute_jobs` like any homogeneous one;
-    the combined cell list is split back into per-side
-    :class:`SweepResult`\\ s in matrix order afterwards.  Per-side
-    ``elapsed_seconds`` is the shared batch's wall clock — the pool is
-    shared, so there is no meaningful per-side split.
-    """
-    start = time.time()
-    resolved = {}
-    jobs = []
-    spans: dict[str, tuple[int, int]] = {}
-    for side_name in SIDES:
-        side = redesign.sides[side_name]
-        ops, pair_filter = side.resolve()
-        if on_progress is not None:
-            on_progress(f"[{side_name}: {side.interface}] "
-                        f"{len(ops)} ops")
-        side_jobs = build_pair_jobs(
-            ops=ops, pair_filter=pair_filter, interface=side.interface,
-            tests_per_path=tests_per_path, ncores=ncores,
-            solver_cache_size=solver_cache_size,
-        )
-        spans[side_name] = (len(jobs), len(jobs) + len(side_jobs))
-        jobs.extend(side_jobs)
-        resolved[side_name] = (side, ops)
-    executed = execute_jobs(
-        jobs, driver=backend, cache=cache, on_progress=on_progress,
-    )
-    elapsed = time.time() - start
-    sweeps: dict[str, SweepResult] = {}
-    for side_name in SIDES:
-        side, ops = resolved[side_name]
-        lo, hi = spans[side_name]
-        sweeps[side_name] = SweepResult(
-            cells=executed.cells[lo:hi],
-            kernels=tuple(name for name, _ in jobs[lo].kernels)
-            if hi > lo else (),
-            op_names=[op.name for op in ops],
-            elapsed_seconds=elapsed,
-            workers=executed.workers,
-            cached_pairs=sum(executed.cached[lo:hi]),
-            computed_pairs=(hi - lo) - sum(executed.cached[lo:hi]),
-            interface=side.interface,
-            ncores=ncores,
-            backend=executed.backend,
-            backend_stats=executed.backend_stats,
-        )
-    return sweeps
 
 
 def compare_to_dict(result: CompareResult) -> dict:
@@ -239,45 +153,4 @@ def compare_to_dict(result: CompareResult) -> dict:
         "baseline": sides["baseline"],
         "redesigned": sides["redesigned"],
         "claim": result.claim,
-    }
-
-
-def legacy_sockets_payload(result: CompareResult) -> dict:
-    """The historical ``repro.sockets-comparison/1`` artifact, derived
-    from a generic ``sockets`` comparison run.
-
-    Shape and numbers match what the pre-registry ``sockets-compare``
-    command wrote (summaries keyed by interface name; the claim holds
-    iff the unordered side commutes more broadly *and* the scalable
-    kernel's conflict-free fraction is higher), so existing CI gates and
-    docs keep working against the deprecated alias.
-    """
-    ordered = result.summaries["baseline"]
-    unordered = result.summaries["redesigned"]
-    claim = {
-        "text": "§4.3: the unordered socket interface commutes more "
-                "broadly than the ordered one, and the scalable kernel "
-                "is conflict-free for a larger fraction of its "
-                "commutative tests",
-        "commutative_fraction_higher":
-            unordered["commutative_fraction"] > ordered["commutative_fraction"],
-        "conflict_free_fraction_higher": {
-            kernel: unordered["conflict_free_fraction"][kernel]
-            > ordered["conflict_free_fraction"][kernel]
-            for kernel in unordered["conflict_free_fraction"]
-        },
-    }
-    claim["holds"] = bool(
-        claim["commutative_fraction_higher"]
-        and claim["conflict_free_fraction_higher"].get("scalefs")
-    )
-    return {
-        "schema": LEGACY_SOCKETS_SCHEMA,
-        "ncores": result.ncores,
-        "tests_per_path": result.tests_per_path,
-        "interfaces": {
-            ordered["interface"]: ordered,
-            unordered["interface"]: unordered,
-        },
-        "claim": claim,
     }

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import threading
 from typing import Callable, Optional, Sequence, Union
 
 from repro.model.base import OpDef
@@ -67,6 +68,12 @@ class SpecError(ValueError):
     """A malformed :class:`InterfaceSpec` (caught at construction)."""
 
 
+#: ``inspect.getsource`` ends in ``ast.parse``, which on CPython 3.11
+#: raises ``SystemError: AST constructor recursion depth mismatch`` when
+#: two threads run it at once; the service fingerprints from several.
+_SOURCE_LOCK = threading.Lock()
+
+
 def fingerprint_source(obj) -> str:
     """Canonical content text of a callable/class for fingerprinting.
 
@@ -80,7 +87,8 @@ def fingerprint_source(obj) -> str:
     if isinstance(fingerprint, str):
         return fingerprint
     try:
-        return inspect.getsource(obj)
+        with _SOURCE_LOCK:
+            return inspect.getsource(obj)
     except (OSError, TypeError):
         code = getattr(obj, "__code__", None)
         if code is not None:

@@ -1,12 +1,11 @@
-"""Parallel COMMUTER pipeline: sharded pair jobs, drivers, result cache.
+"""Parallel COMMUTER pipeline: sharded pair jobs, backends, result cache.
 
 The paper ran its ANALYZER → TESTGEN → MTRACE sweep over all 18×18 POSIX
 operation pairs on a 48-core machine; this package is that sweep's
 execution layer.  Pair jobs are independent — they commute — so the
 scalable commutativity rule applies to our own tooling: any execution
 order (and any sharding across workers) must produce identical results,
-and the test suite holds the serial and parallel drivers to bitwise
-parity.
+and the test suite holds every execution backend to bitwise parity.
 
 Layers
 ======
@@ -16,25 +15,26 @@ Layers
     results (:class:`PairCellData`, :class:`PairSummary`), which cross
     process boundaries and the JSON cache without symbolic state.
 :mod:`repro.pipeline.backends`
-    The named execution-backend registry (the driver/HAL split):
-    :class:`ExecutionBackend` plus the four registered backends —
-    ``serial``, ``pool`` (a ``ProcessPoolExecutor`` shard),
-    ``work-stealing`` (per-lane deques with idle-lane stealing), and
-    ``subprocess-shard`` (content-hash partition across worker
-    subprocesses over a stdio/JSON protocol).  All map jobs to results
-    in input order; which one ran is execution accounting, never part
-    of a result or a cache fingerprint.  :mod:`repro.pipeline.drivers`
-    survives as a compatibility shim (``SerialDriver``,
-    ``ParallelDriver``, :func:`driver_for`).
+    The named execution-backend registry: :class:`ExecutionBackend`,
+    the registered backends — ``serial``, ``pool`` (a
+    ``ProcessPoolExecutor`` shard), ``work-stealing`` (one shared deque
+    with steal accounting), ``subprocess-shard`` (content-hash partition
+    across worker subprocesses over a stdio/JSON protocol) and
+    ``cluster`` (:mod:`repro.cluster`) — and :func:`get_backend`, the
+    one way a backend is picked.  All map jobs to results in input
+    order; which one ran is execution accounting, never part of a
+    result or a cache fingerprint.
 :mod:`repro.pipeline.cache`
     :class:`ResultCache`, a persistent JSON cache keyed by pair name and
     guarded by a SHA-256 fingerprint of the op definitions, model
     equivalence functions, kernels, and pipeline infrastructure — so
     re-runs only recompute pairs whose inputs changed.
 :mod:`repro.pipeline.sweep`
-    :func:`run_sweep` / :func:`run_analysis`, the orchestration that
-    the public entry points (:func:`repro.bench.heatmap.run_heatmap`,
-    :func:`repro.analyzer.analyze_interface`, and the CLI) build on.
+    :func:`execute_jobs`, the one cached-batch executor (cache split →
+    backend → persist → merge in input order) for pair and scaling jobs,
+    and :func:`run_sweep` / :func:`run_analysis`, the orchestration the
+    public entry points (:func:`repro.bench.heatmap.run_heatmap`, the
+    compare engine, the service and the CLI) build on.
 :mod:`repro.pipeline.scaling`
     The many-core axis: :func:`run_scaling_sweep` runs one interface's
     matrix across an ncores ladder (ANALYZER/TESTGEN once per pair,
@@ -70,16 +70,14 @@ Command line
     A registered §4-style redesign comparison (see
     :mod:`repro.compare`): both sides end-to-end, claim checked, to
     ``results/compare_<name>.json`` — exit 1 when the claim fails.
-    ``sockets-compare`` survives as a deprecated alias that keeps the
-    historical ``results/sockets_comparison.json`` artifact.
 ``browse``
     The terminal browser over a saved heatmap artifact
     (``browse compare A B`` diffs two artifacts cell by cell).
 
 Shared options: ``--backend NAME`` (execution backend: ``serial``,
-``pool``, ``work-stealing``, ``subprocess-shard``), ``--workers N``
-(worker count, ``0`` = all cores; alone it keeps the legacy
-serial-vs-pool meaning), ``--cache PATH`` (persistent result cache),
+``pool``, ``work-stealing``, ``subprocess-shard``, ``cluster``),
+``--workers N`` (worker count, ``0`` = all cores; without ``--backend``,
+``1`` is serial and anything else the pool), ``--cache PATH`` (persistent result cache),
 ``--pairs a,b`` (repeatable pair filter), ``--ops a,b,c`` (matrix
 restriction), ``--out PATH`` (artifact location, default under
 ``results/``).  ``python -m repro docs`` regenerates ``docs/cli.md``
@@ -109,19 +107,12 @@ from repro.pipeline.backends import (
     UnknownBackendError,
     WorkStealingBackend,
     backend_names,
+    default_workers,
     get_backend,
     normalize_workers,
     register_backend,
-    resolve_backend,
 )
 from repro.pipeline.cache import ResultCache, job_fingerprint, op_fingerprint
-from repro.pipeline.drivers import (
-    Driver,
-    ParallelDriver,
-    SerialDriver,
-    default_workers,
-    driver_for,
-)
 from repro.pipeline.jobs import (
     PairCellData,
     PairJob,
@@ -136,6 +127,7 @@ from repro.pipeline.scaling import (
     ScalingCellData,
     ScalingJob,
     ScalingSweepResult,
+    SCALING_JOBS,
     conflict_free_monotonic,
     parse_ladder,
     run_scaling_job,
@@ -146,7 +138,9 @@ from repro.pipeline.scaling import (
 )
 from repro.pipeline.sweep import (
     AnalysisSweep,
+    PAIR_JOBS,
     ExecutedJobs,
+    JobKind,
     SweepResult,
     TimedPairResult,
     build_pair_jobs,
@@ -162,20 +156,20 @@ from repro.pipeline.sweep import (
 __all__ = [
     "AnalysisSweep",
     "DEFAULT_LADDER",
-    "Driver",
     "ExecutedJobs",
     "ExecutionBackend",
+    "JobKind",
+    "PAIR_JOBS",
     "PairCellData",
     "PairJob",
     "PairSummary",
-    "ParallelDriver",
     "PoolBackend",
     "ResultCache",
+    "SCALING_JOBS",
     "ScalingCellData",
     "ScalingJob",
     "ScalingSweepResult",
     "SerialBackend",
-    "SerialDriver",
     "SubprocessShardBackend",
     "SweepResult",
     "TimedPairResult",
@@ -186,13 +180,11 @@ __all__ = [
     "classify_residue",
     "conflict_free_monotonic",
     "default_workers",
-    "driver_for",
     "execute_jobs",
     "get_backend",
     "normalize_workers",
     "parse_ladder",
     "register_backend",
-    "resolve_backend",
     "iter_pairs",
     "job_fingerprint",
     "make_pair_filter",

@@ -1,11 +1,9 @@
-"""Named execution backends: the driver/HAL split for the pair sweep.
+"""Named execution backends: where and in what order jobs run.
 
-The sweep's execution strategy used to be a hardwired Serial-vs-
-ProcessPool choice; this module turns that seam into a *registry* of
-:class:`ExecutionBackend` implementations selected by name (the CLI's
-``--backend``), the same way interfaces and redesigns are selected.
-"Same binary, different drivers": a backend decides only *where and in
-what order* jobs run — never what they compute — so every backend must
+A *registry* of :class:`ExecutionBackend` implementations selected by
+name (the CLI's ``--backend``), the same way interfaces and redesigns
+are selected.  A backend decides only *where and in what order* jobs
+run — never what they compute — so every backend must
 produce identical results for the same job batch, a property the test
 suite enforces and the result cache depends on (backend identity is
 deliberately **not** part of any cache fingerprint).
@@ -18,7 +16,7 @@ Registered backends
     only backend that can run closures and ad-hoc jobs.
 ``pool``
     A :class:`concurrent.futures.ProcessPoolExecutor` shard with a
-    bounded submission window (the historical ``ParallelDriver``).
+    bounded submission window.
 ``work-stealing``
     A process pool scheduled from one shared deque instead of static
     chunks: jobs are *owned* by a lane under static contiguous
@@ -55,11 +53,13 @@ A backend is ``submit`` / ``drain`` / ``stats``:
   out of result content and cache fingerprints.
 
 ``map(fn, jobs, on_result)`` is the one-shot convenience the sweep
-uses.  Capability flags describe what a backend can accept:
-``requires_picklable`` (jobs/results cross a process boundary) and
-``supports_interleave`` (heterogeneous multi-interface batches are
-safe to schedule — true for every built-in, available for authors
-whose backends pin per-interface state).
+uses.  One capability flag describes what a backend can accept:
+``requires_picklable`` (jobs/results cross a process boundary).  Every
+backend must schedule heterogeneous multi-interface batches — each job
+carries everything its worker needs.
+
+:func:`get_backend` is the one way a backend is picked: a registered
+name, an instance, or ``None`` for the ``workers`` rule.
 
 Worker-count semantics (one place, used by every backend and the CLI):
 see :func:`normalize_workers` — ``None`` means "the context default",
@@ -105,17 +105,11 @@ def normalize_workers(workers: Optional[int], none_means: int = 1) -> int:
     """The single home of the 0/None/1 worker-count semantics.
 
     * ``None`` — the caller did not choose: use ``none_means`` (the
-      context default — ``1`` for the legacy ``--workers`` alias, ``0``
-      for the parallel backends, which then resolves to all cores);
+      context default — ``1`` when no backend is named, ``0`` for the
+      parallel backends, which then resolves to all cores);
     * ``0`` — all cores (:func:`default_workers`);
     * ``N >= 1`` — exactly N;
     * negative — ``ValueError``.
-
-    Historically ``ParallelDriver`` promoted an explicit ``workers=0``
-    through ``workers if workers else default_workers()`` while
-    ``driver_for`` special-cased ``0`` separately; both now resolve
-    here, so an explicit ``0`` and ``None`` mean what the table above
-    says everywhere, including the CLI.
     """
     if workers is None:
         workers = none_means
@@ -139,8 +133,6 @@ class ExecutionBackend(ABC):
     #: Jobs, fns and results must survive pickling (they leave the
     #: parent process).  ``serial`` is the only backend without this.
     requires_picklable = True
-    #: Heterogeneous multi-interface batches are safe to schedule.
-    supports_interleave = True
     #: ``None`` resolved through :func:`normalize_workers` with this
     #: context default (0 = all cores for the parallel backends).
     none_workers_means = 0
@@ -210,10 +202,6 @@ class ExecutionBackend(ABC):
         return f"{type(self).__name__}(workers={self.workers})"
 
 
-#: Legacy name for the backend interface (``repro.pipeline.drivers``).
-Driver = ExecutionBackend
-
-
 # ----------------------------------------------------------------------
 # The registry
 
@@ -241,12 +229,12 @@ def get_backend(
     backend: Union[str, ExecutionBackend, None],
     workers: Optional[int] = None,
 ) -> ExecutionBackend:
-    """Resolve a backend name (or pass an instance through).
+    """The one way a backend is picked: a registered name sized by
+    ``workers``, or an instance (passed through as is).
 
-    ``None`` falls back to the legacy ``--workers`` alias semantics:
-    ``workers`` absent or ``1`` is serial, anything else (``0`` = all
-    cores) is the process pool — exactly what ``driver_for`` always
-    meant, now defined in one place.
+    ``None`` is the ``workers`` rule every ``--workers N`` command line
+    without ``--backend`` relies on: ``workers`` absent or ``1`` is
+    serial, anything else (``0`` = all cores) is the process pool.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
@@ -262,31 +250,6 @@ def get_backend(
             + ", ".join(backend_names())
         ) from None
     return cls(workers=workers)
-
-
-def resolve_backend(
-    workers: Optional[int] = None,
-    driver: Optional[ExecutionBackend] = None,
-    backend: Union[str, ExecutionBackend, None] = None,
-) -> ExecutionBackend:
-    """The sweep's resolution order: explicit instance, then name, then
-    the ``--workers`` alias.  ``driver`` is the historical keyword for
-    an explicit instance and wins for compatibility."""
-    if driver is not None:
-        return driver
-    return get_backend(backend, workers=workers)
-
-
-def driver_for(
-    workers: Optional[int], driver: Optional[ExecutionBackend] = None
-) -> ExecutionBackend:
-    """Resolve an explicit driver or a worker count into a backend.
-
-    ``workers=None`` or ``1`` means serial; anything larger (or ``0``
-    for "all cores") selects the process pool.  Kept as the legacy
-    spelling of :func:`resolve_backend` without a backend name.
-    """
-    return resolve_backend(workers=workers, driver=driver)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +277,7 @@ class SerialBackend(ExecutionBackend):
 
 @register_backend
 class PoolBackend(ExecutionBackend):
-    """Shard jobs across a process pool (the historical ParallelDriver).
+    """Shard jobs across a process pool.
 
     ``max_pending`` bounds how many jobs are enqueued at once so a large
     sweep (the full 171-pair matrix) does not hold every pickled job in

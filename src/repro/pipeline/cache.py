@@ -313,6 +313,14 @@ class ResultCache:
             self._dirty_keys.clear()
 
 
+def as_cache(cache):
+    """A path becomes a :class:`ResultCache`; ``None`` and any object
+    with ``get``/``put``/``save`` (the seam is duck-typed) pass through."""
+    if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
+        return ResultCache(cache)
+    return cache
+
+
 class _file_lock:
     """Exclusive advisory lock held for a read-merge-write critical
     section.  ``flock`` is per open-file-description, so it serializes

@@ -17,7 +17,6 @@ DEFAULT_PARTIAL_OUT = "results/heatmap_partial.json"
 DEFAULT_ANALYZE_OUT = "results/analyze.json"
 DEFAULT_TESTGEN_OUT = "results/testgen.json"
 DEFAULT_CACHE = "results/pipeline-cache.json"
-DEFAULT_COMPARISON_OUT = "results/sockets_comparison.json"
 
 
 def interface_artifact_path(default: str, interface: str,
@@ -182,7 +181,7 @@ def _add_backend_options(parser, cluster: bool = True):
 
 def _cli_backend(args):
     """``--backend`` plus the cluster-only flags, resolved to what the
-    pipeline's ``resolve_backend`` accepts: a registry name, ``None``,
+    pipeline's ``get_backend`` accepts: a registry name, ``None``,
     or (for ``cluster``, which needs its spawn/listen configuration) a
     prebuilt backend instance."""
     from repro.pipeline.backends import ExecutionBackend
@@ -397,7 +396,7 @@ def cmd_testgen(args) -> int:
     from functools import partial
 
     from repro.bench.report import write_artifact
-    from repro.pipeline.backends import resolve_backend
+    from repro.pipeline.backends import get_backend
     from repro.pipeline.jobs import PairJob, run_testgen_job
     from repro.pipeline.sweep import iter_pairs
 
@@ -416,8 +415,7 @@ def cmd_testgen(args) -> int:
             progress(f"{result['op0']}/{result['op1']}: "
                      f"{result['cases']} cases")
 
-    resolved = resolve_backend(args.workers, backend=_cli_backend(args))
-    results = resolved.map(
+    results = get_backend(_cli_backend(args), args.workers).map(
         partial(run_testgen_job, render=args.render), jobs, on_result=report
     )
     if args.render:
@@ -523,21 +521,6 @@ def _summary_line(summary: dict) -> str:
     )
 
 
-def _run_compare_cli(args, redesign):
-    from repro.compare import run_compare
-
-    return run_compare(
-        redesign,
-        tests_per_path=args.tests_per_path,
-        workers=args.workers,
-        backend=_cli_backend(args),
-        cache=None if args.no_cache else args.cache,
-        ncores=args.ncores,
-        on_progress=_progress(args),
-        solver_cache_size=args.solver_cache_size,
-    )
-
-
 def cmd_compare(args) -> int:
     from repro.bench.report import write_artifact
     from repro.compare import (
@@ -545,6 +528,7 @@ def cmd_compare(args) -> int:
         compare_to_dict,
         get_redesign,
         redesign_names,
+        run_compare,
     )
 
     if args.list:
@@ -560,7 +544,16 @@ def cmd_compare(args) -> int:
         redesign = get_redesign(args.name)
     except UnknownRedesignError as exc:
         raise SystemExit(str(exc.args[0])) from exc
-    result = _run_compare_cli(args, redesign)
+    result = run_compare(
+        redesign,
+        tests_per_path=args.tests_per_path,
+        workers=args.workers,
+        backend=_cli_backend(args),
+        cache=None if args.no_cache else args.cache,
+        ncores=args.ncores,
+        on_progress=_progress(args),
+        solver_cache_size=args.solver_cache_size,
+    )
     if args.out is None:
         # Non-default core counts get their own artifact, like heatmap.
         args.out = interface_artifact_path(
@@ -585,57 +578,6 @@ def cmd_compare(args) -> int:
     _print_backend_stats(result.backend, result.backend_stats)
     print(f"  claim {verdict} -> {path}")
     return 0 if result.holds else 1
-
-
-def cmd_sockets_compare(args) -> int:
-    """Deprecated alias for ``compare sockets``: same sweep through the
-    generic engine, but the historical artifact path, JSON shape, and
-    stdout format, so existing CI gates and docs keep working."""
-    from repro.bench.report import write_artifact
-    from repro.compare import legacy_sockets_payload
-
-    print(
-        "sockets-compare is deprecated; use `python -m repro compare "
-        "sockets` (generic engine, schema repro.compare/1)",
-        file=sys.stderr,
-    )
-    result = _run_compare_cli(args, "sockets")
-    payload = legacy_sockets_payload(result)
-    claim = payload["claim"]
-    if args.out is None:
-        # Non-default core counts get their own artifact, like heatmap.
-        args.out = interface_artifact_path(
-            DEFAULT_COMPARISON_OUT, "posix", args.ncores
-        )
-    path = write_artifact(args.out, payload)
-    print("§4.3 ordered vs unordered datagram sockets "
-          "(ANALYZER → TESTGEN → MTRACE):")
-    for name, summary in payload["interfaces"].items():
-        print(f"  {name:18s} " + _summary_line(summary))
-    verdict = "HOLDS" if claim["holds"] else "DOES NOT HOLD"
-    print(f"  claim {verdict}: unordered commutes more broadly and is "
-          f"more conflict-free on the scalable kernel -> {path}")
-    return 0 if claim["holds"] else 1
-
-
-def _add_compare_run_options(parser):
-    """The execution knobs the comparison commands share (the matrix is
-    fixed by the redesign spec, so no --interface/--ops/--pairs here)."""
-    _add_ncores_option(parser)
-    _add_backend_options(parser)
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-pair progress lines")
-    parser.add_argument("--tests-per-path", type=int, default=1)
-    parser.add_argument(
-        "--solver-cache-size", type=int, default=None, metavar="N",
-        help="bound each pair's solver memo caches to N entries",
-    )
-    parser.add_argument(
-        "--cache", default=DEFAULT_CACHE, metavar="PATH",
-        help=f"persistent result cache (default {DEFAULT_CACHE})",
-    )
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every pair")
 
 
 def _lint_heatmaps(names, explicit):
@@ -1116,22 +1058,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registered comparison (see --list)")
     p.add_argument("--list", action="store_true",
                    help="list the registered comparisons and exit")
-    _add_compare_run_options(p)
+    # The matrix is fixed by the redesign spec, so only the execution
+    # knobs here (no --interface/--ops/--pairs).
+    _add_ncores_option(p)
+    _add_backend_options(p)
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress per-pair progress lines")
+    p.add_argument("--tests-per-path", type=int, default=1)
+    p.add_argument(
+        "--solver-cache-size", type=int, default=None, metavar="N",
+        help="bound each pair's solver memo caches to N entries",
+    )
+    p.add_argument(
+        "--cache", default=DEFAULT_CACHE, metavar="PATH",
+        help=f"persistent result cache (default {DEFAULT_CACHE})",
+    )
+    p.add_argument("--no-cache", action="store_true",
+                   help="recompute every pair")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="artifact path (default results/compare_<name>.json, "
                         "ncores-suffixed for non-default --ncores)")
     p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser(
-        "sockets-compare",
-        help="deprecated alias for `compare sockets` (historical "
-             "artifact path and schema)",
-    )
-    _add_compare_run_options(p)
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help=f"artifact path (default {DEFAULT_COMPARISON_OUT}, "
-                        "ncores-suffixed for non-default --ncores)")
-    p.set_defaults(fn=cmd_sockets_compare)
 
     p = sub.add_parser(
         "lint",

@@ -12,10 +12,10 @@ scans — see :mod:`repro.mtrace.memory`'s counter support).
 Batching is the point: a :class:`ScalingJob` runs ANALYZER → TESTGEN
 *once* per pair and replays the concrete cases through MTRACE at every
 rung, instead of re-sweeping (and re-solving) per core count.  Jobs go
-through the same cache/backend seam as :func:`repro.pipeline.sweep
-.execute_jobs`: cached ladders are split off by fingerprint, the rest
-is mapped through any registered execution backend, and results return
-in matrix order.
+through :func:`repro.pipeline.sweep.execute_jobs` as their own
+:data:`SCALING_JOBS` kind: cached ladders are split off by fingerprint,
+the rest is mapped through any registered execution backend, and
+results return in matrix order.
 
 The cache fingerprint covers the base pair fingerprint (ops, state
 hooks, kernels, infrastructure), the full ladder, and this module's own
@@ -30,13 +30,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from repro.analyzer.analyzer import analyze_pair
 from repro.model.spec import fingerprint_source
-from repro.pipeline.backends import ExecutionBackend, resolve_backend
-from repro.pipeline.cache import ResultCache, job_fingerprint
+from repro.pipeline.cache import job_fingerprint
 from repro.pipeline.jobs import PairJob, _testgen_hooks, classify_residue, merge_solver_stats
+from repro.pipeline.sweep import JobKind, build_pair_jobs, execute_jobs
 from repro.testgen import generate_for_pair
 
 SCALING_SCHEMA = "repro.scaling/1"
@@ -47,14 +48,16 @@ DEFAULT_LADDER = (2, 4, 16, 64, 128, 480)
 
 
 def parse_ladder(raw) -> tuple[int, ...]:
-    """An ncores ladder from ``"2,16,64"`` (or any int sequence):
-    deduplicated, ascending, every rung >= 1."""
+    """An ncores ladder from ``"2,16,64"`` (or any int sequence; a
+    ``bool`` is not a rung): deduplicated, ascending, every rung >= 1."""
     if isinstance(raw, str):
         parts = [part.strip() for part in raw.split(",") if part.strip()]
         if not parts:
             raise ValueError("empty ncores ladder")
         values = [int(part) for part in parts]
     else:
+        if any(isinstance(value, bool) for value in raw):
+            raise ValueError(f"ncores rungs must be ints, got {list(raw)!r}")
         values = [int(value) for value in raw]
         if not values:
             raise ValueError("empty ncores ladder")
@@ -207,6 +210,28 @@ def run_scaling_job(job: ScalingJob) -> ScalingCellData:
     return cell
 
 
+def _scaling_progress(job: ScalingJob, cell: ScalingCellData, cached: bool) -> str:
+    tests = f"{cell.total} tests x {len(job.ladder)} rungs"
+    if cached:
+        return f"cached ({tests})"
+    worst = max(job.ladder)
+    fails = ", ".join(
+        f"{kernel} fails {cell.rungs[worst]['not_conflict_free'].get(kernel, 0)}"
+        for kernel, _ in job.base.kernels
+    )
+    return f"{tests}, at {worst} cores: {fails}"
+
+
+#: Scaling jobs as :func:`~repro.pipeline.sweep.execute_jobs` sees them.
+SCALING_JOBS = JobKind(
+    fingerprint=scaling_fingerprint,
+    run=run_scaling_job,
+    decode=ScalingCellData.from_dict,
+    pair=attrgetter("base"),
+    progress=_scaling_progress,
+)
+
+
 @dataclass
 class ScalingSweepResult:
     """One interface's matrix across the ladder, plus execution
@@ -305,7 +330,6 @@ def run_scaling_sweep(
     pair_filter: Optional[Callable] = None,
     tests_per_path: int = 1,
     workers: Optional[int] = None,
-    driver: Optional[ExecutionBackend] = None,
     backend=None,
     cache=None,
     on_progress: Optional[Callable[[str], None]] = None,
@@ -313,19 +337,14 @@ def run_scaling_sweep(
 ) -> ScalingSweepResult:
     """One interface's pair matrix across an ncores ladder.
 
-    Mirrors :func:`repro.pipeline.sweep.execute_jobs`: cached ladders
-    are split off by :func:`scaling_fingerprint`, the remainder maps
-    through the resolved execution backend, and cells come back in
-    matrix order.  ``cache`` is a path or a :class:`ResultCache` and is
-    shared with the per-ncores sweeps (scaling entries have their own
-    key space).
+    ``cache`` is a path or a :class:`~repro.pipeline.cache.ResultCache`
+    and is shared with the per-ncores sweeps (scaling entries have their
+    own key space).
     """
     from repro.model.registry import get_interface
-    from repro.pipeline.sweep import build_pair_jobs
 
     ladder = parse_ladder(ladder)
-    iface = get_interface(interface)
-    ops = list(iface.ops) if ops is None else list(ops)
+    ops = list(get_interface(interface).ops) if ops is None else list(ops)
     start = time.time()
     base_jobs = build_pair_jobs(
         ops=ops,
@@ -335,64 +354,26 @@ def run_scaling_sweep(
         interface=interface,
         ncores=ladder[0],
     )
-    jobs = [ScalingJob(base, ladder) for base in base_jobs]
-    if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
-        cache = ResultCache(cache)
-
-    cells: list[Optional[ScalingCellData]] = [None] * len(jobs)
-    todo: list[int] = []
-    fingerprints: dict[int, str] = {}
-    for index, job in enumerate(jobs):
-        if cache is not None:
-            fingerprints[index] = scaling_fingerprint(job)
-            hit = cache.get(job.key, fingerprints[index])
-            if hit is not None:
-                cells[index] = ScalingCellData.from_dict(hit)
-                if on_progress is not None:
-                    on_progress(
-                        f"{job.base.op0.name}/{job.base.op1.name}: cached "
-                        f"({cells[index].total} tests x {len(ladder)} rungs)"
-                    )
-                continue
-        todo.append(index)
-
-    fingerprint_of = {id(jobs[i]): fingerprints.get(i) for i in todo}
-
-    def report(job: ScalingJob, cell: ScalingCellData) -> None:
-        if cache is not None:
-            cache.put(job.key, fingerprint_of[id(job)], cell.to_dict())
-            cache.save()
-        if on_progress is not None:
-            worst = max(ladder)
-            fails = ", ".join(
-                f"{kernel} fails {cell.rungs[worst]['not_conflict_free'].get(kernel, 0)}"
-                for kernel, _ in job.base.kernels
-            )
-            on_progress(
-                f"{cell.op0}/{cell.op1}: {cell.total} tests x {len(ladder)} rungs, "
-                f"at {worst} cores: {fails}"
-            )
-
-    resolved = resolve_backend(workers, driver, backend)
-    computed = resolved.map(run_scaling_job, [jobs[i] for i in todo], on_result=report)
-    for index, cell in zip(todo, computed):
-        cells[index] = cell
-
-    todo_set = set(todo)
-    cached_count = sum(1 for i in range(len(jobs)) if i not in todo_set)
-    kernels = tuple(name for name, _ in (base_jobs[0].kernels if base_jobs else ()))
+    executed = execute_jobs(
+        [ScalingJob(base, ladder) for base in base_jobs],
+        workers=workers,
+        cache=cache,
+        on_progress=on_progress,
+        backend=backend,
+        kind=SCALING_JOBS,
+    )
     return ScalingSweepResult(
-        cells=list(cells),
-        kernels=kernels,
+        cells=executed.cells,
+        kernels=tuple(name for name, _ in (base_jobs[0].kernels if base_jobs else ())),
         op_names=[op.name for op in ops],
         ladder=ladder,
         interface=interface,
         elapsed_seconds=time.time() - start,
-        workers=resolved.workers,
-        cached_pairs=cached_count,
-        computed_pairs=len(jobs) - cached_count,
-        backend=resolved.name,
-        backend_stats=resolved.stats(),
+        workers=executed.workers,
+        cached_pairs=executed.cached_pairs,
+        computed_pairs=executed.computed_pairs,
+        backend=executed.backend,
+        backend_stats=executed.backend_stats,
     )
 
 

@@ -1,12 +1,13 @@
-"""Sweep orchestration: pair matrix → jobs → cache → driver → cells.
+"""Sweep orchestration: pair matrix → jobs → cache → backend → cells.
 
-This is the seam every scaling PR builds on: the matrix of unordered op
-pairs is turned into independent :class:`~repro.pipeline.jobs.PairJob`
-units, cached results are split off by fingerprint, the remainder is
-mapped through a named execution backend (serial / pool / work-stealing
-/ subprocess-shard — see :mod:`repro.pipeline.backends`), and the merged
-cells come back in deterministic matrix order regardless of execution
-order.
+This is the seam everything above the pipeline builds on: the matrix of
+unordered op pairs is turned into independent
+:class:`~repro.pipeline.jobs.PairJob` units, and :func:`execute_jobs` —
+the one cached-batch executor, for pair jobs and scaling jobs alike —
+splits cached results off by fingerprint, maps the remainder through an
+execution backend (see :mod:`repro.pipeline.backends`), persists each
+result as it arrives, and returns the merged cells in deterministic
+input order regardless of execution order.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.model.base import OpDef
-from repro.pipeline.backends import (
-    ExecutionBackend,
-    resolve_backend,
-)
-from repro.pipeline.cache import ResultCache, job_fingerprint
+from repro.pipeline.backends import get_backend
+from repro.pipeline.cache import as_cache, job_fingerprint
 from repro.pipeline.jobs import (
     PairCellData,
     PairJob,
@@ -60,7 +58,11 @@ def run_pair_job_timed(job: PairJob) -> TimedPairResult:
 
 @dataclass
 class SweepResult:
-    """The full matrix in plain data, plus execution accounting."""
+    """The full matrix in plain data, plus execution accounting (also
+    known as :class:`repro.bench.heatmap.HeatmapResult`).
+
+    ``residues`` is derived from ``cells`` unless given.
+    """
 
     cells: list[PairCellData]
     kernels: tuple[str, ...]
@@ -73,17 +75,50 @@ class SweepResult:
     ncores: int = 4
     backend: str = "serial"
     backend_stats: dict = field(default_factory=dict)
+    residues: Optional[dict[str, dict[str, int]]] = None
+
+    def __post_init__(self):
+        if self.residues is None:
+            self.residues = merge_residues(self.cells)
+            for kernel in self.kernels:
+                self.residues.setdefault(kernel, {})
+
+    @classmethod
+    def from_executed(
+        cls,
+        executed: ExecutedJobs,
+        ops: Sequence[OpDef],
+        interface: str,
+        ncores: int,
+        elapsed_seconds: float,
+        lo: int = 0,
+        hi: Optional[int] = None,
+        kernels: Optional[tuple[str, ...]] = None,
+    ) -> SweepResult:
+        """One interface's sweep out of the ``[lo:hi]`` span of an
+        executed batch.  ``kernels`` defaults to the span's own (none
+        for an empty span)."""
+        jobs = executed.jobs[lo:hi]
+        cached = sum(executed.cached[lo:hi])
+        if kernels is None:
+            kernels = tuple(name for name, _ in jobs[0].kernels) if jobs else ()
+        return cls(
+            cells=executed.cells[lo:hi],
+            kernels=kernels,
+            op_names=[op.name for op in ops],
+            elapsed_seconds=elapsed_seconds,
+            workers=executed.workers,
+            cached_pairs=cached,
+            computed_pairs=len(jobs) - cached,
+            interface=interface,
+            ncores=ncores,
+            backend=executed.backend,
+            backend_stats=executed.backend_stats,
+        )
 
     @property
     def total_tests(self) -> int:
         return sum(c.total for c in self.cells)
-
-    @property
-    def residues(self) -> dict:
-        merged = merge_residues(self.cells)
-        for kernel in self.kernels:
-            merged.setdefault(kernel, {})
-        return merged
 
     def conflict_free_total(self, kernel: str) -> int:
         return self.total_tests - sum(
@@ -94,6 +129,15 @@ class SweepResult:
     def solver_totals(self) -> dict:
         """Sweep-wide solver counters (decisions, cache hits, scope reuse)."""
         return merge_solver_stats(self.cells)
+
+    def summary(self) -> str:
+        parts = [f"{self.total_tests} commutative test cases"]
+        for kernel in self.kernels:
+            parts.append(
+                f"{kernel}: {self.conflict_free_total(kernel)} of "
+                f"{self.total_tests} conflict-free"
+            )
+        return "; ".join(parts)
 
 
 def iter_pairs(
@@ -156,11 +200,50 @@ def build_pair_jobs(
     ]
 
 
+@dataclass(frozen=True)
+class JobKind:
+    """What :func:`execute_jobs` needs to know about one kind of job
+    (besides ``job.key``, the cache key every kind has)."""
+
+    #: job -> the fingerprint guarding its cache entry
+    fingerprint: Callable
+    #: job -> cell; handed to the backend as is, never wrapped (the
+    #: subprocess-shard and cluster backends pickle it by name)
+    run: Callable
+    #: cached dict -> cell (the inverse of ``cell.to_dict()``)
+    decode: Callable
+    #: job -> the :class:`PairJob` it is about (names and interface)
+    pair: Callable
+    #: (job, cell, cached) -> the progress line after ``"op0/op1: "``
+    progress: Callable
+    #: ``run`` plus worker-side timing, used when ``on_pair`` listens
+    run_timed: Optional[Callable] = None
+
+
+def _pair_progress(job: PairJob, cell: PairCellData, cached: bool) -> str:
+    if cached:
+        return f"cached ({cell.total} tests)"
+    return f"{cell.total} tests, " + ", ".join(
+        f"{k} fails {cell.not_conflict_free.get(k, 0)}" for k, _ in job.kernels
+    )
+
+
+PAIR_JOBS = JobKind(
+    fingerprint=job_fingerprint,
+    run=run_pair_job,
+    decode=PairCellData.from_dict,
+    pair=lambda job: job,
+    progress=_pair_progress,
+    run_timed=run_pair_job_timed,
+)
+
+
 @dataclass
 class ExecutedJobs:
     """The result of one (possibly heterogeneous) job batch."""
 
-    cells: list[PairCellData]
+    jobs: list
+    cells: list
     cached: list[bool]       # per job, in input order
     workers: int
     backend: str = "serial"
@@ -176,96 +259,91 @@ class ExecutedJobs:
 
 
 def execute_jobs(
-    jobs: Sequence[PairJob],
+    jobs: Sequence,
     workers: Optional[int] = None,
-    driver: Optional[ExecutionBackend] = None,
     cache: Optional[object] = None,
     on_progress: Optional[Callable[[str], None]] = None,
     backend: Optional[object] = None,
-    on_pair: Optional[Callable[[PairJob, PairCellData, bool, float], None]] = None,
+    on_pair: Optional[Callable[[object, object, bool, float], None]] = None,
+    kind: JobKind = PAIR_JOBS,
 ) -> ExecutedJobs:
-    """Run a batch of pair jobs: cache split, one backend pass, merge.
+    """Run a batch of jobs: cache split, one backend pass, merge.
 
     The batch may mix interfaces, core counts and kernels — each job
     carries everything its worker needs, and every cache entry is keyed
     and fingerprinted per job — so the two sides of a comparison (or any
     number of sweeps) can share a single worker pool instead of draining
     sequentially.  Results come back in input order regardless of
-    execution order.
+    execution order.  ``kind`` says what the jobs are (pair jobs unless
+    told otherwise; :data:`repro.pipeline.scaling.SCALING_JOBS` is the
+    other kind).
 
-    ``backend`` names a registered execution backend (or passes an
-    :class:`ExecutionBackend` instance); ``driver`` is the historical
-    keyword for an explicit instance and wins.  With neither, ``workers``
-    picks serial or the process pool as it always has.  The backend
-    changes *where* jobs run, never what they compute: cells and cache
-    entries are identical for every choice, and backend identity is
-    deliberately absent from cache fingerprints.
+    ``backend`` and ``workers`` resolve through
+    :func:`~repro.pipeline.backends.get_backend`.  The backend changes
+    *where* jobs run, never what they compute: cells and cache entries
+    are identical for every choice, and backend identity is deliberately
+    absent from cache fingerprints.  ``cache`` is a path or anything with
+    ``get``/``put``/``save``.
 
     ``on_pair(job, cell, cached, elapsed)`` is the structured sibling of
-    ``on_progress``: it fires once per pair, in completion order, with
+    ``on_progress``: it fires once per job, in completion order, with
     the plain-data cell, whether it was served from the cache, and the
-    worker-side seconds spent computing it (0.0 for cache hits).  The
-    service's NDJSON event stream is built on it.
+    worker-side seconds spent computing it (0.0 for cache hits and for
+    kinds without a timed runner).  The service's NDJSON event stream is
+    built on it.
     """
     jobs = list(jobs)
-    if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
-        cache = ResultCache(cache)
+    cache = as_cache(cache)
+    heterogeneous = len({kind.pair(job).interface for job in jobs}) > 1
 
-    heterogeneous = len({job.interface for job in jobs}) > 1
+    def announce(job, cell, cached: bool, elapsed: float) -> None:
+        if on_progress is not None:
+            pair = kind.pair(job)
+            tag = f"[{pair.interface}] " if heterogeneous else ""
+            on_progress(
+                f"{tag}{pair.op0.name}/{pair.op1.name}: "
+                + kind.progress(job, cell, cached)
+            )
+        if on_pair is not None:
+            on_pair(job, cell, cached, elapsed)
 
-    def label(job: PairJob) -> str:
-        name = f"{job.op0.name}/{job.op1.name}"
-        return f"[{job.interface}] {name}" if heterogeneous else name
-
-    cells: list[Optional[PairCellData]] = [None] * len(jobs)
+    cells: list = [None] * len(jobs)
     todo: list[int] = []
     fingerprints: dict[int, str] = {}
     for index, job in enumerate(jobs):
         if cache is not None:
-            fingerprints[index] = job_fingerprint(job)
+            fingerprints[index] = kind.fingerprint(job)
             hit = cache.get(job.key, fingerprints[index])
             if hit is not None:
-                cells[index] = PairCellData.from_dict(hit)
-                if on_progress is not None:
-                    on_progress(
-                        f"{label(job)}: cached "
-                        f"({cells[index].total} tests)"
-                    )
-                if on_pair is not None:
-                    on_pair(job, cells[index], True, 0.0)
+                cells[index] = kind.decode(hit)
+                announce(job, cells[index], True, 0.0)
                 continue
         todo.append(index)
 
     fingerprint_of = {id(jobs[i]): fingerprints.get(i) for i in todo}
 
-    def report(job: PairJob, result) -> None:
+    def report(job, result) -> None:
         if isinstance(result, TimedPairResult):
             cell, elapsed = result.cell, result.elapsed
         else:
             cell, elapsed = result, 0.0
         if cache is not None:
             # Persist as results arrive so an interrupted or failing
-            # sweep keeps every pair already computed (the point of the
+            # sweep keeps every job already computed (the point of the
             # cache); the write is atomic, so this is always safe.
             cache.put(job.key, fingerprint_of[id(job)], cell.to_dict())
             cache.save()
-        if on_progress is not None:
-            on_progress(
-                f"{label(job)}: {cell.total} tests, "
-                + ", ".join(
-                    f"{k} fails {cell.not_conflict_free.get(k, 0)}"
-                    for k, _ in job.kernels
-                )
-            )
-        if on_pair is not None:
-            on_pair(job, cell, False, elapsed)
+        announce(job, cell, False, elapsed)
 
-    # The timed runner only rides along when someone is listening: the
-    # historical path keeps its exact fn (subprocess-shard hashes, repr
-    # stability, no wrapper pickling).
-    run = run_pair_job if on_pair is None else run_pair_job_timed
-    resolved = resolve_backend(workers, driver, backend)
-    computed = resolved.map(run, [jobs[i] for i in todo], on_result=report)
+    # The timed runner only rides along when someone is listening;
+    # either way the backend gets the bare module-level function.
+    timed = on_pair is not None and kind.run_timed is not None
+    resolved = get_backend(backend, workers)
+    computed = resolved.map(
+        kind.run_timed if timed else kind.run,
+        [jobs[i] for i in todo],
+        on_result=report,
+    )
     for index, result in zip(todo, computed):
         cells[index] = (
             result.cell if isinstance(result, TimedPairResult) else result
@@ -273,7 +351,8 @@ def execute_jobs(
 
     todo_set = set(todo)
     return ExecutedJobs(
-        cells=list(cells),
+        jobs=jobs,
+        cells=cells,
         cached=[i not in todo_set for i in range(len(jobs))],
         workers=resolved.workers,
         backend=resolved.name,
@@ -286,7 +365,6 @@ def run_sweep(
     kernels: Optional[Sequence[tuple[str, Callable]]] = None,
     tests_per_path: int = 1,
     workers: Optional[int] = None,
-    driver: Optional[ExecutionBackend] = None,
     cache: Optional[object] = None,
     pair_filter: Optional[Callable[[OpDef, OpDef], bool]] = None,
     on_progress: Optional[Callable[[str], None]] = None,
@@ -302,9 +380,8 @@ def run_sweep(
 
     ``cache`` is a path or a :class:`ResultCache`; pairs whose fingerprint
     matches a stored entry are not recomputed.  ``backend`` (a registered
-    execution-backend name or instance), ``driver`` (an explicit instance,
-    legacy keyword) or ``workers`` picks the execution strategy; results
-    are identical for every choice.
+    execution-backend name or instance) and ``workers`` pick the execution
+    strategy; results are identical for every choice.
     ``solver_cache_size`` bounds each pair's solver memo (0 = unbounded).
     ``interface`` selects a registered interface bundle: its ops, state
     constructor, equivalence, kernels and TESTGEN hooks (explicit ``ops``/
@@ -328,21 +405,12 @@ def run_sweep(
         interface=interface, ncores=ncores,
     )
     executed = execute_jobs(
-        jobs, workers=workers, driver=driver, cache=cache,
+        jobs, workers=workers, cache=cache,
         on_progress=on_progress, backend=backend, on_pair=on_pair,
     )
-    return SweepResult(
-        cells=executed.cells,
+    return SweepResult.from_executed(
+        executed, ops, interface, ncores, time.time() - start,
         kernels=tuple(name for name, _ in kernel_items),
-        op_names=[op.name for op in ops],
-        elapsed_seconds=time.time() - start,
-        workers=executed.workers,
-        cached_pairs=executed.cached_pairs,
-        computed_pairs=executed.computed_pairs,
-        interface=interface,
-        ncores=ncores,
-        backend=executed.backend,
-        backend_stats=executed.backend_stats,
     )
 
 
@@ -402,7 +470,6 @@ class AnalysisSweep:
 def run_analysis(
     ops: Optional[Sequence[OpDef]] = None,
     workers: Optional[int] = None,
-    driver: Optional[ExecutionBackend] = None,
     pair_filter: Optional[Callable[[OpDef, OpDef], bool]] = None,
     on_progress: Optional[Callable[[str], None]] = None,
     condition_chars: Optional[int] = 4000,
@@ -433,7 +500,7 @@ def run_analysis(
                 f"paths commute"
             )
 
-    resolved = resolve_backend(workers, driver, backend)
+    resolved = get_backend(backend, workers)
     summaries = resolved.map(
         partial(run_analyze_job, condition_chars=condition_chars),
         jobs, on_result=report,

@@ -45,12 +45,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.pipeline.backends import backend_names, resolve_backend
-from repro.pipeline.cache import ResultCache, job_fingerprint
+from repro.pipeline.backends import backend_names, get_backend
+from repro.pipeline.cache import as_cache, job_fingerprint
 from repro.pipeline.jobs import PairJob, run_analyze_job
 from repro.pipeline.sweep import (
+    ExecutedJobs,
     SweepResult,
     build_pair_jobs,
+    execute_jobs,
     iter_pairs,
     make_pair_filter,
 )
@@ -134,9 +136,7 @@ class JobManager:
         backend: Optional[str] = None,
         backend_workers: Optional[int] = None,
     ):
-        if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
-            cache = ResultCache(cache)
-        self.cache = cache
+        self.cache = as_cache(cache)
         self.store = store if store is not None else ArtifactStore()
         self.default_backend = backend
         self.default_workers = backend_workers
@@ -322,7 +322,7 @@ class JobManager:
 
         if kind in ("heatmap", "compare"):
             ncores = params.get("ncores", 4)
-            if not isinstance(ncores, int) or ncores < 1:
+            if not _is_int(ncores) or ncores < 1:
                 raise BadRequest(f"ncores must be an int >= 1, got {ncores!r}")
             out["ncores"] = ncores
         if kind == "scaling":
@@ -330,12 +330,14 @@ class JobManager:
 
             try:
                 ladder = parse_ladder(params.get("ladder", DEFAULT_LADDER))
-            except ValueError as exc:
-                raise BadRequest(str(exc)) from None
+            except (TypeError, ValueError) as exc:
+                raise BadRequest(
+                    f"ladder must be ints >= 1 (a list or 'a,b,c'): {exc}"
+                ) from None
             out["ladder"] = list(ladder)
         if kind != "analyze":
             tests_per_path = params.get("tests_per_path", 1)
-            if not isinstance(tests_per_path, int) or tests_per_path < 1:
+            if not _is_int(tests_per_path) or tests_per_path < 1:
                 raise BadRequest(
                     f"tests_per_path must be an int >= 1, "
                     f"got {tests_per_path!r}"
@@ -349,9 +351,7 @@ class JobManager:
                 f"(backends: {', '.join(backend_names())})"
             )
         workers = params.get("workers", self.default_workers)
-        if workers is not None and (
-            not isinstance(workers, int) or workers < 0
-        ):
+        if workers is not None and (not _is_int(workers) or workers < 0):
             raise BadRequest(f"workers must be an int >= 0, got {workers!r}")
         out["backend"] = backend
         out["workers"] = workers
@@ -450,13 +450,11 @@ class JobManager:
         return True
 
     def _backend(self, params: dict):
-        return resolve_backend(params["workers"], None, params["backend"])
+        return get_backend(params["backend"], params["workers"])
 
     def _run_heatmap(self, record: JobRecord) -> None:
-        from repro.bench.heatmap import HeatmapResult
         from repro.bench.report import heatmap_to_dict, strip_volatile_heatmap
         from repro.model.registry import resolve_ops
-        from repro.pipeline.sweep import execute_jobs
 
         p = record.params
         ops = resolve_ops(p["interface"], p.get("ops"))
@@ -483,33 +481,16 @@ class JobManager:
         for chunk in _chunks(jobs, max(1, resolved.workers)):
             self._check_cancel(record)
             executed = execute_jobs(
-                chunk, driver=resolved, cache=self.cache, on_pair=on_pair
+                chunk, backend=resolved, cache=self.cache, on_pair=on_pair
             )
             cells.extend(executed.cells)
             cached.extend(executed.cached)
-        sweep = SweepResult(
-            cells=cells,
-            kernels=tuple(name for name, _ in jobs[0].kernels) if jobs
-            else (),
-            op_names=[op.name for op in ops],
-            elapsed_seconds=time.time() - start,
-            workers=resolved.workers,
-            cached_pairs=sum(cached),
-            computed_pairs=len(cells) - sum(cached),
-            interface=p["interface"],
-            ncores=p["ncores"],
-            backend=resolved.name,
-            backend_stats=resolved.stats(),
-        )
-        result = HeatmapResult(
-            kernels=sweep.kernels, cells=sweep.cells,
-            residues=sweep.residues,
-            elapsed_seconds=sweep.elapsed_seconds,
-            op_names=sweep.op_names, workers=sweep.workers,
-            cached_pairs=sweep.cached_pairs,
-            computed_pairs=sweep.computed_pairs,
-            interface=sweep.interface, ncores=sweep.ncores,
-            backend=sweep.backend, backend_stats=sweep.backend_stats,
+        result = SweepResult.from_executed(
+            ExecutedJobs(
+                jobs, cells, cached, resolved.workers,
+                resolved.name, resolved.stats(),
+            ),
+            ops, p["interface"], p["ncores"], time.time() - start,
         )
         payload = strip_volatile_heatmap(heatmap_to_dict(result))
         with record.cond:
@@ -667,6 +648,13 @@ class JobManager:
                 "ladder": list(result.ladder),
                 "pairs": len(result.cells),
             }
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON ``true`` is not a count, and as
+    ``"ncores": true`` it would key and store a second copy of the
+    ``"ncores": 1`` artifact."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _chunks(seq: list, size: int):

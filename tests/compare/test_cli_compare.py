@@ -1,5 +1,5 @@
-"""The ``compare`` subcommand and the deprecated ``sockets-compare``
-alias (claim pass/fail exit codes, artifacts, unknown-name errors)."""
+"""The ``compare`` subcommand (claim pass/fail exit codes, artifacts,
+unknown-name errors)."""
 
 import json
 
@@ -114,22 +114,3 @@ class TestCompareCli:
         expected = (tmp_path / "results"
                     / "compare_test-impossible_ncores2.json")
         assert expected.exists()
-
-
-class TestSocketsCompareAlias:
-    def test_alias_warns_and_writes_the_legacy_artifact(self, tmp_path,
-                                                        capsys):
-        out = str(tmp_path / "legacy.json")
-        rc = cli_main(["sockets-compare", "--no-cache", "--out", out,
-                       "--quiet"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "compare sockets" in captured.err
-        assert "claim HOLDS" in captured.out
-        raw = json.load(open(out))
-        assert raw["schema"] == "repro.sockets-comparison/1"
-        assert raw["claim"]["holds"] is True
-        unordered = raw["interfaces"]["sockets-unordered"]
-        assert unordered["conflict_free"]["scalefs"] \
-            == unordered["total_tests"]

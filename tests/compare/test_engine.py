@@ -8,10 +8,8 @@ from repro.bench.report import write_artifact
 from repro.compare import (
     COMPARE_SCHEMA,
     compare_to_dict,
-    legacy_sockets_payload,
     run_compare,
 )
-from repro.compare.engine import LEGACY_SOCKETS_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -89,15 +87,3 @@ class TestArtifact:
         assert raw["claim"]["holds"] is True
         kinds = [c["kind"] for c in raw["claim"]["checks"]]
         assert "commutative_fraction_higher" in kinds
-
-    def test_legacy_payload_keeps_the_historical_shape(self, sockets_result):
-        payload = legacy_sockets_payload(sockets_result)
-        assert payload["schema"] == LEGACY_SOCKETS_SCHEMA
-        assert list(payload["interfaces"]) == [
-            "sockets-ordered", "sockets-unordered",
-        ]
-        claim = payload["claim"]
-        assert claim["commutative_fraction_higher"] is True
-        assert set(claim["conflict_free_fraction_higher"]) \
-            == {"mono", "scalefs"}
-        assert claim["holds"] is True

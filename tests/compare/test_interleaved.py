@@ -3,14 +3,20 @@
 The compare engine submits both sides' :class:`PairJob`\\ s to a single
 :func:`repro.pipeline.sweep.execute_jobs` batch.  These tests pin the
 invariants that make that safe: serial/parallel parity on a
-mixed-interface batch, per-side summaries identical to the sequential
-engine's, and cache behavior unchanged by the batching.
+mixed-interface batch, per-side summaries identical to a plain per-side
+``run_sweep``'s, and cache behavior unchanged by the batching.
 """
 
 import pytest
 
-from repro.compare import run_compare
-from repro.pipeline.sweep import build_pair_jobs, execute_jobs
+from repro.compare import get_redesign, run_compare
+from repro.compare.spec import SIDES
+from repro.pipeline.sweep import (
+    build_pair_jobs,
+    execute_jobs,
+    run_sweep,
+    summarize_interface_sweep,
+)
 
 
 def _mixed_jobs(**kwargs):
@@ -76,26 +82,43 @@ class TestMixedBatches:
                    for line in lines)
 
 
+def _per_side_sweeps(**kwargs):
+    """The oracle: each side of ``sockets`` as its own ``run_sweep``."""
+    sweeps = {}
+    for side_name in SIDES:
+        side = get_redesign("sockets").sides[side_name]
+        ops, pair_filter = side.resolve()
+        sweeps[side_name] = run_sweep(
+            ops=ops, pair_filter=pair_filter, interface=side.interface,
+            **kwargs,
+        )
+    return sweeps
+
+
 class TestEngineParity:
     @pytest.fixture(scope="class")
     def both(self):
-        return (run_compare("sockets", interleave=False),
-                run_compare("sockets", interleave=True))
+        return _per_side_sweeps(), run_compare("sockets")
 
     def test_per_side_summaries_identical(self, both):
-        sequential, interleaved = both
-        assert interleaved.summaries == sequential.summaries
-        assert interleaved.claim == sequential.claim
+        per_side, interleaved = both
+        assert interleaved.summaries == {
+            name: summarize_interface_sweep(sweep)
+            for name, sweep in per_side.items()
+        }
         assert interleaved.holds
 
     def test_per_side_sweeps_carry_matrix_metadata(self, both):
-        _, interleaved = both
+        per_side, interleaved = both
         for side_name, interface in (("baseline", "sockets-ordered"),
                                      ("redesigned", "sockets-unordered")):
             sweep = interleaved.sweeps[side_name]
             assert sweep.interface == interface
             assert sweep.kernels == ("mono", "scalefs")
             assert sweep.computed_pairs == len(sweep.cells)
+            assert sweep.op_names == per_side[side_name].op_names
+            assert [c.to_dict() for c in sweep.cells] \
+                == [c.to_dict() for c in per_side[side_name].cells]
 
     def test_interleaved_shares_one_cache(self, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -111,9 +134,13 @@ class TestEngineParity:
         assert parallel.summaries == serial.summaries
 
     def test_cross_engine_cache_reuse(self, tmp_path):
-        """Entries written by the sequential engine serve the
-        interleaved one (same keys, same fingerprints), and vice versa."""
+        """Entries written by per-side sweeps serve the compare batch
+        (same keys, same fingerprints), and vice versa."""
         path = str(tmp_path / "cache.json")
-        run_compare("sockets", cache=path, interleave=False)
-        warm = run_compare("sockets", cache=path, interleave=True)
+        _per_side_sweeps(cache=path)
+        warm = run_compare("sockets", cache=path)
         assert all(s.computed_pairs == 0 for s in warm.sweeps.values())
+        other = str(tmp_path / "other.json")
+        run_compare("sockets", cache=other)
+        assert all(s.computed_pairs == 0
+                   for s in _per_side_sweeps(cache=other).values())

@@ -25,7 +25,6 @@ from repro.pipeline.backends import (
     format_backend_stats,
     get_backend,
     normalize_workers,
-    resolve_backend,
 )
 
 BACKENDS = ("serial", "pool", "work-stealing", "subprocess-shard",
@@ -64,22 +63,19 @@ class TestRegistry:
     def test_instance_passes_through(self):
         backend = WorkStealingBackend(workers=2)
         assert get_backend(backend) is backend
-        assert resolve_backend(8, None, backend) is backend
+        assert get_backend(backend, workers=8) is backend
 
     def test_none_is_the_legacy_workers_alias(self):
         assert isinstance(get_backend(None), SerialBackend)
         assert isinstance(get_backend(None, workers=1), SerialBackend)
         assert isinstance(get_backend(None, workers=4), PoolBackend)
+        assert get_backend(None, workers=4).workers == 4
         # 0 = all cores; on a single-core host that resolves to serial.
         all_cores = get_backend(None, workers=0)
         if default_workers() > 1:
             assert isinstance(all_cores, PoolBackend)
         else:
             assert isinstance(all_cores, SerialBackend)
-
-    def test_explicit_driver_wins_over_name(self):
-        explicit = SerialBackend()
-        assert resolve_backend(4, explicit, "pool") is explicit
 
     def test_name_defaults_to_all_cores(self):
         assert get_backend("pool").workers == default_workers()
@@ -116,11 +112,6 @@ class TestCapabilities:
             "serial": False, "pool": True, "work-stealing": True,
             "subprocess-shard": True, "cluster": True,
         }
-
-    def test_every_builtin_supports_interleave(self):
-        assert all(
-            get_backend(name).supports_interleave for name in BACKENDS
-        )
 
     def test_serial_runs_closures(self):
         captured = []
@@ -261,3 +252,27 @@ class TestStatsFormatting:
             {"backend": "pool", "workers": 4, "jobs": 6, "inline": True}
         )
         assert line == "inline=True jobs=6"
+
+
+class TestRemovedNamesStayRemoved:
+    """PR 13 folded the compat layer into one seam; keep it folded."""
+
+    REMOVED = ("driver_for", "resolve_backend", "SerialDriver",
+               "ParallelDriver", "Driver", "legacy_sockets_payload",
+               "PairCells")
+
+    def test_pipeline_all_resolves(self):
+        import repro.pipeline
+
+        missing = [name for name in repro.pipeline.__all__
+                   if not hasattr(repro.pipeline, name)]
+        assert missing == []
+
+    @pytest.mark.parametrize(
+        "package", ["repro.pipeline", "repro.compare", "repro.bench"]
+    )
+    def test_compat_names_are_not_importable(self, package):
+        import importlib
+
+        module = importlib.import_module(package)
+        assert [n for n in self.REMOVED if hasattr(module, n)] == []

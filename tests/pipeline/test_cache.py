@@ -13,7 +13,7 @@ from repro.model.posix import op_by_name
 from repro.pipeline import (
     PairJob,
     ResultCache,
-    SerialDriver,
+    SerialBackend,
     job_fingerprint,
     op_fingerprint,
     run_sweep,
@@ -138,14 +138,14 @@ class TestIncrementalSweep:
         edited = OpDef("stat", stat.params, _stat_variant)
         ops_after_edit = [op_by_name("link"), op_by_name("unlink"), edited]
         incremental = run_sweep(
-            ops=ops_after_edit, cache=path, driver=SerialDriver()
+            ops=ops_after_edit, cache=path, backend=SerialBackend()
         )
         # link|link, link|unlink, unlink|unlink stay cached; the three
         # pairs involving the edited stat recompute.
         assert incremental.cached_pairs == 3
         assert incremental.computed_pairs == 3
         # The variant is semantically identical, so the matrix agrees.
-        baseline = run_sweep(ops=ops, driver=SerialDriver())
+        baseline = run_sweep(ops=ops, backend=SerialBackend())
         assert [c.to_dict() for c in incremental.cells] == \
             [c.to_dict() for c in baseline.cells]
 
@@ -294,3 +294,50 @@ class TestConcurrentWriters:
         reloaded = ResultCache(path)
         assert reloaded.get("our|pair", "fp") == {"total": 3}
         assert reloaded.get("their|pair", "fp") == {"total": 7}
+
+
+def test_job_fingerprint_is_thread_safe():
+    """The service fingerprints from several job threads at once; on
+    CPython 3.11 unserialized ``inspect.getsource`` calls die now and
+    then with ``SystemError: AST constructor recursion depth mismatch``
+    (``ast.parse`` keeps its depth check in per-interpreter state), and
+    the chance grows with threads entering at different stack depths.
+    """
+    import sys
+    import threading
+
+    from repro.pipeline.cache import _context_hash
+    from repro.pipeline.sweep import build_pair_jobs
+
+    jobs = build_pair_jobs(interface="posix")
+    assert len(jobs) == 171
+    serial = [job_fingerprint(job) for job in jobs]
+    _context_hash.cache_clear()
+    digests, errors = {}, []
+
+    def at_depth(depth, fn):
+        return fn() if depth == 0 else at_depth(depth - 1, fn)
+
+    def worker(index):
+        try:
+            digests[index] = at_depth(
+                3 * index, lambda: [job_fingerprint(job) for job in jobs]
+            )
+        except BaseException as exc:  # SystemError is the known one
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [digests[i] for i in range(8)] == [serial] * 8

@@ -1,6 +1,8 @@
-"""Driver interchangeability: the commutativity rule applied to our own
-tooling.  Pair jobs commute, so the serial and parallel drivers must
+"""Backend interchangeability: the commutativity rule applied to our own
+tooling.  Pair jobs commute, so the serial and pool backends must
 produce bitwise-identical results, in input order, for any worker count.
+(File, class and parameter names keep the historical "driver" spelling so
+the test ids stay stable; the code under test is ``backend=``.)
 """
 
 import pytest
@@ -9,9 +11,9 @@ from repro.analyzer import analyze_interface
 from repro.model.fs import PosixState
 from repro.model.posix import op_by_name, posix_state_equal
 from repro.pipeline import (
-    ParallelDriver,
-    SerialDriver,
-    driver_for,
+    PoolBackend,
+    SerialBackend,
+    get_backend,
     run_analysis,
     run_sweep,
 )
@@ -28,39 +30,30 @@ def square(n):
 
 
 class TestDriverContract:
-    @pytest.mark.parametrize("driver", [SerialDriver(), ParallelDriver(2)])
+    @pytest.mark.parametrize("driver", [SerialBackend(), PoolBackend(2)])
     def test_results_in_input_order(self, driver):
         assert driver.map(square, [3, 1, 4, 1, 5, 9]) == [9, 1, 16, 1, 25, 81]
 
-    @pytest.mark.parametrize("driver", [SerialDriver(), ParallelDriver(2)])
+    @pytest.mark.parametrize("driver", [SerialBackend(), PoolBackend(2)])
     def test_on_result_sees_every_job(self, driver):
         seen = []
         driver.map(square, [1, 2, 3], on_result=lambda job, r: seen.append((job, r)))
         assert sorted(seen) == [(1, 1), (2, 4), (3, 9)]
 
-    @pytest.mark.parametrize("driver", [SerialDriver(), ParallelDriver(2)])
+    @pytest.mark.parametrize("driver", [SerialBackend(), PoolBackend(2)])
     def test_empty_job_list(self, driver):
         assert driver.map(square, []) == []
 
     def test_more_jobs_than_pending_window(self):
-        driver = ParallelDriver(workers=2, max_pending=2)
+        driver = PoolBackend(workers=2, max_pending=2)
         jobs = list(range(20))
         assert driver.map(square, jobs) == [n * n for n in jobs]
 
-    def test_driver_for_resolution(self):
-        assert isinstance(driver_for(None), SerialDriver)
-        assert isinstance(driver_for(1), SerialDriver)
-        assert isinstance(driver_for(4), ParallelDriver)
-        assert driver_for(4).workers == 4
-        assert driver_for(0).workers >= 1  # all cores
-        explicit = SerialDriver()
-        assert driver_for(8, explicit) is explicit
-
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 0"):
-            driver_for(-3)
+            get_backend(None, -3)
         with pytest.raises(ValueError, match="workers must be >= 0"):
-            ParallelDriver(workers=-1)
+            PoolBackend(workers=-1)
 
 
 class TestSerialParallelParity:
@@ -68,11 +61,11 @@ class TestSerialParallelParity:
 
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_sweep(ops=_ops(), driver=SerialDriver())
+        return run_sweep(ops=_ops(), backend=SerialBackend())
 
     @pytest.fixture(scope="class")
     def parallel(self):
-        return run_sweep(ops=_ops(), driver=ParallelDriver(workers=4))
+        return run_sweep(ops=_ops(), backend=PoolBackend(workers=4))
 
     def test_cells_bitwise_identical(self, serial, parallel):
         assert [c.to_dict() for c in serial.cells] == \
@@ -102,8 +95,8 @@ class TestSerialParallelParity:
 
 class TestAnalysisParity:
     def test_analysis_summaries_identical(self):
-        serial = run_analysis(ops=_ops(), driver=SerialDriver())
-        parallel = run_analysis(ops=_ops(), driver=ParallelDriver(workers=2))
+        serial = run_analysis(ops=_ops(), backend=SerialBackend())
+        parallel = run_analysis(ops=_ops(), backend=PoolBackend(workers=2))
         assert [s.to_dict() for s in serial.summaries] == \
             [s.to_dict() for s in parallel.summaries]
 
@@ -113,7 +106,7 @@ class TestAnalyzeInterfaceOnDriver:
         ops = _ops()
         default = analyze_interface(PosixState, posix_state_equal, ops)
         explicit = analyze_interface(
-            PosixState, posix_state_equal, ops, driver=SerialDriver()
+            PosixState, posix_state_equal, ops, backend=SerialBackend()
         )
         assert [(p.op0.name, p.op1.name, len(p.paths),
                  len(p.commutative_paths)) for p in default] == \

@@ -126,14 +126,14 @@ class TestInterfaceCli:
 
     def test_sockets_compare_claim_holds(self, tmp_path, capsys):
         out = str(tmp_path / "cmp.json")
-        rc = cli_main(["sockets-compare", "--no-cache", "--out", out,
+        rc = cli_main(["compare", "sockets", "--no-cache", "--out", out,
                        "--quiet"])
         assert rc == 0
         raw = json.load(open(out))
-        assert raw["schema"] == "repro.sockets-comparison/1"
+        assert raw["schema"] == "repro.compare/1"
         assert raw["claim"]["holds"] is True
-        ordered = raw["interfaces"]["sockets-ordered"]
-        unordered = raw["interfaces"]["sockets-unordered"]
+        ordered = raw["baseline"]["summary"]
+        unordered = raw["redesigned"]["summary"]
         assert unordered["conflict_free_fraction"]["scalefs"] > \
             ordered["conflict_free_fraction"]["scalefs"]
         assert unordered["commutative_fraction"] > \

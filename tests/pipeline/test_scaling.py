@@ -62,6 +62,8 @@ class TestParseLadder:
             parse_ladder("2,0")
         with pytest.raises(ValueError):
             parse_ladder("-4")
+        with pytest.raises(ValueError, match="must be ints"):
+            parse_ladder([True, 4])  # JSON true is not 1 core
 
     def test_default_ladder_reaches_many_core_regime(self):
         assert parse_ladder(DEFAULT_LADDER) == DEFAULT_LADDER

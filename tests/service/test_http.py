@@ -64,6 +64,9 @@ class TestRoutes:
         with pytest.raises(ServiceError) as err:
             client.submit("heatmap", {"interface": "nope"})
         assert err.value.status == 400
+        with pytest.raises(ServiceError) as err:
+            client.submit("heatmap", {"ncores": True})
+        assert err.value.status == 400
 
     def test_malformed_body_400s(self, service):
         import http.client

@@ -277,6 +277,25 @@ class TestValidation:
         with pytest.raises(BadRequest, match="ncores"):
             manager.submit("heatmap", {"ncores": 0})
 
+    @pytest.mark.parametrize("kind,params", [
+        ("heatmap", {"ncores": True}),
+        ("compare", {"name": "sockets", "ncores": True}),
+        ("heatmap", {"tests_per_path": True}),
+        ("scaling", {"tests_per_path": True}),
+        ("heatmap", {"workers": False}),
+        ("analyze", {"workers": True}),
+        ("scaling", {"ladder": [True, 4]}),
+        ("scaling", {"ladder": 5}),
+    ])
+    def test_booleans_are_not_integers(self, manager, kind, params):
+        """``bool`` is an ``int`` subclass: ``"ncores": true`` used to
+        validate, then key and store a second copy of the ``"ncores": 1``
+        artifact under a different digest."""
+        bad = next(k for k in params if k != "name")
+        with pytest.raises(BadRequest, match=bad):
+            manager.submit(kind, params)
+        assert manager.list() == []
+
     def test_unknown_backend(self, manager):
         with pytest.raises(BadRequest, match="unknown backend"):
             manager.submit("heatmap", {"backend": "gpu"})

@@ -246,6 +246,15 @@ def test_schema_drift_clean(tmp_path):
     assert _rule_schema_drift(root) == []
 
 
+def test_schema_drift_version_history_may_name_removed_schemas(tmp_path):
+    root = seed_repo(
+        tmp_path, 'SCHEMA = "repro.toy/1"\n',
+        "## `repro.toy/1`\n\n## Version history\n\n"
+        "- `repro.gone/1` — removed in PR 13.\n",
+    )
+    assert _rule_schema_drift(root) == []
+
+
 # -- driver --
 
 

@@ -112,6 +112,6 @@ class TestReferenceCompleteness:
         text = _read(os.path.join(DOCS, "artifacts.md"))
         for schema in ("repro.heatmap/1", "repro.analyze/1",
                        "repro.testgen/1", "repro.bench/1",
-                       "repro.compare/1", "repro.sockets-comparison/1",
-                       "repro.bench-report/1", "repro.job/1"):
+                       "repro.compare/1", "repro.bench-report/1",
+                       "repro.job/1"):
             assert schema in text
