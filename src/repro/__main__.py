@@ -1,12 +1,12 @@
 """``python -m repro`` — the unified pipeline command line.
 
-See :mod:`repro.pipeline` for subcommands, options, and artifact
-schemas.
+See ``docs/cli.md`` for subcommands and options, ``docs/artifacts.md``
+for artifact schemas.
 """
 
 import sys
 
-from repro.pipeline.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -126,6 +126,39 @@ def heatmap_to_dict(result: HeatmapResult) -> dict:
     return out
 
 
+def analyze_to_dict(result) -> dict:
+    """The ``repro.analyze/1`` artifact of an
+    :class:`~repro.pipeline.sweep.AnalysisSweep`: per-pair path counts
+    and rendered commutativity conditions, plus the volatile execution
+    and solver accounting :func:`strip_volatile_analyze` removes."""
+    out = {
+        "schema": "repro.analyze/1",
+        "ops": result.op_names,
+        "elapsed": result.elapsed_seconds,
+        "workers": result.workers,
+        "backend": result.backend,
+        "pairs": [s.to_dict() for s in result.summaries],
+        "solver_totals": result.solver_totals,
+    }
+    if result.interface != "posix":
+        out["interface"] = result.interface
+    return out
+
+
+def strip_volatile_analyze(artifact: dict) -> dict:
+    """The *result* content of an analyze artifact (the analogue of
+    :func:`strip_volatile_heatmap`; what the service stores)."""
+    out = {
+        k: v for k, v in artifact.items()
+        if k not in ("elapsed", "workers", "backend", "solver_totals")
+    }
+    out["pairs"] = [
+        {k: v for k, v in pair.items() if k != "solver_stats"}
+        for pair in artifact["pairs"]
+    ]
+    return out
+
+
 def series_to_dict(series: BenchSeries) -> dict:
     """One Figure 7 curve."""
     return {

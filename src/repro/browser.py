@@ -271,7 +271,7 @@ def _resolve_artifact(token: str, ncores: int) -> str:
     if os.path.exists(token):
         return token
     from repro.model.registry import UnknownInterfaceError, get_interface
-    from repro.pipeline.cli import interface_artifact_path
+    from repro.kinds import interface_artifact_path
 
     try:
         get_interface(token)
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "staticpredict":
         if args.data is None:
-            from repro.pipeline.cli import staticpredict_artifact_path
+            from repro.staticcheck.predict import staticpredict_artifact_path
 
             interface = args.sp_interface or args.interface
             args.data = staticpredict_artifact_path(interface)
@@ -352,8 +352,7 @@ def main(argv=None) -> int:
         return 0
     if args.command == "scaling":
         if args.data is None:
-            from repro.pipeline.cli import scaling_artifact_path
-            from repro.pipeline.scaling import DEFAULT_LADDER
+            from repro.kinds import DEFAULT_LADDER, scaling_artifact_path
 
             interface = args.scaling_interface or args.interface
             args.data = scaling_artifact_path(interface, DEFAULT_LADDER)
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
         # Resolve through the same suffixing helper the pipeline writes
         # with, so the browser always finds the matching artifact.
         from repro.model.registry import UnknownInterfaceError, get_interface
-        from repro.pipeline.cli import interface_artifact_path
+        from repro.kinds import interface_artifact_path
 
         try:
             get_interface(args.interface)

@@ -10,9 +10,9 @@ fingerprints, so a cluster sweep's artifacts are byte-identical to
 
 Each :meth:`drain` is one complete coordinator lifecycle: bind, spawn
 any ``--spawn-local`` workers, wait for the fleet, run the batch,
-tear everything down.  That makes the backend reusable across the
-service's sequential chunked drains and leak-free under pytest, at the
-cost of per-drain startup — the benchmark measures exactly that
+tear everything down.  A sweep — a batch command or a service job — is
+one drain, so it pays that startup once, and nothing outlives it
+(leak-free under pytest); the benchmark measures exactly that
 coordination tax (the Amdahl term the paper says to measure, not
 hide).
 
@@ -40,18 +40,14 @@ import sys
 import tempfile
 from typing import Callable, Optional
 
+from repro.cluster.coordinator import ClusterError, Coordinator
 from repro.cluster.faults import FAULT_ENV, FaultPlan, parse_fault
+from repro.cluster.worker import parse_address
 from repro.pipeline.backends import (
     ExecutionBackend,
     normalize_workers,
     register_backend,
 )
-
-# repro.cluster.coordinator and repro.cluster.worker are imported
-# lazily inside methods: either of them can be the module that pulls
-# in repro.pipeline (via the protocol), whose backends module imports
-# *this* module to register the backend — a module-level from-import
-# back into the half-initialized entry module would fail.
 
 
 def _env(name: str, cast, default):
@@ -161,8 +157,6 @@ class ClusterBackend(ExecutionBackend):
         if fault is None:
             fault = parse_fault(os.environ.get(FAULT_ENV))
 
-        from repro.cluster.worker import parse_address
-
         if listen is None and spawn_local is None:
             # Bare `--backend cluster`: a localhost fleet sized like the
             # other parallel backends size themselves.
@@ -187,8 +181,6 @@ class ClusterBackend(ExecutionBackend):
         self.on_listening = on_listening
 
     def _execute(self, pending, on_result):
-        from repro.cluster.coordinator import ClusterError, Coordinator
-
         coordinator = Coordinator(
             self.listen_address[0],
             self.listen_address[1],

@@ -311,7 +311,7 @@ class Coordinator:
         """Run ``pending`` ``(fn, job)`` pairs; results in input order.
 
         Reusable: one coordinator (and its fleet) serves any number of
-        sequential batches — the service's chunked drains ride on this.
+        sequential batches.
         """
         total = len(pending)
         if total == 0:

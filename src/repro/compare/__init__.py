@@ -25,6 +25,7 @@ from repro.compare.engine import (
     CompareResult,
     compare_to_dict,
     run_compare,
+    strip_volatile_compare,
 )
 from repro.compare import builtin as _builtin  # registers the built-ins
 
@@ -44,4 +45,5 @@ __all__ = [
     "CompareResult",
     "compare_to_dict",
     "run_compare",
+    "strip_volatile_compare",
 ]

@@ -47,6 +47,8 @@ class CompareResult:
     elapsed_seconds: float
     backend: str = "serial"
     backend_stats: dict = field(default_factory=dict)
+    cached_pairs: int = 0
+    computed_pairs: int = 0
 
     @property
     def holds(self) -> bool:
@@ -126,6 +128,8 @@ def run_compare(
         elapsed_seconds=time.time() - start,
         backend=executed.backend,
         backend_stats=executed.backend_stats,
+        cached_pairs=executed.cached_pairs,
+        computed_pairs=executed.computed_pairs,
     )
 
 
@@ -153,4 +157,12 @@ def compare_to_dict(result: CompareResult) -> dict:
         "baseline": sides["baseline"],
         "redesigned": sides["redesigned"],
         "claim": result.claim,
+    }
+
+
+def strip_volatile_compare(artifact: dict) -> dict:
+    """The *result* content of a compare artifact: everything except
+    timing and execution accounting (what the service stores)."""
+    return {
+        k: v for k, v in artifact.items() if k not in ("elapsed", "execution")
     }

@@ -1,6 +1,6 @@
 """Generated CLI reference (``docs/cli.md``) from the live argparse tree.
 
-:func:`render_cli_md` walks :func:`repro.pipeline.cli.build_parser` —
+:func:`render_cli_md` walks :func:`repro.cli.build_parser` —
 every subcommand, positional, and flag, in registration order — and
 renders one deterministic markdown document.  ``python -m repro docs``
 writes it; ``python -m repro docs --check`` (and
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 
 HEADER = (
-    "<!-- Generated by `python -m repro docs` from repro.pipeline.cli."
+    "<!-- Generated by `python -m repro docs` from repro.cli."
     " Do not edit by hand: `python -m repro docs --check` gates CI. -->"
 )
 
@@ -77,9 +77,36 @@ def _subparsers_action(parser: argparse.ArgumentParser):
     return None
 
 
+def _choice_help(sub: argparse._SubParsersAction, name: str) -> str:
+    for choice_action in sub._choices_actions:
+        if choice_action.dest == name:
+            return (choice_action.help or "").strip()
+    return ""
+
+
+def _render_command(title: str, help_text: str, parser, level: int) -> list:
+    """One command's section, then one section a level down for each
+    nested command (``submit heatmap``, ``cluster worker``)."""
+    lines = ["", f"{'#' * level} {title}", ""]
+    if help_text:
+        lines += [help_text, ""]
+    nested = _subparsers_action(parser)
+    actions = list(_walk_actions(parser))
+    if not actions and nested is None:
+        lines.append("_No options; arguments pass through verbatim._")
+    lines.extend(_render_actions(actions))
+    if nested is not None:
+        for name, child in nested.choices.items():
+            lines += _render_command(
+                f"{title} {name}", _choice_help(nested, name), child,
+                level + 1,
+            )
+    return lines
+
+
 def render_cli_md() -> str:
     """The full ``docs/cli.md`` text for the current CLI."""
-    from repro.pipeline.cli import build_parser
+    from repro.cli import build_parser
 
     parser = build_parser()
     lines = [
@@ -102,42 +129,10 @@ def render_cli_md() -> str:
         lines.append(_describe(action))
     sub = _subparsers_action(parser)
     lines += ["", "## Subcommands", ""]
-    names = list(sub.choices) if sub is not None else []
-    for name in names:
-        help_text = ""
-        for choice_action in sub._choices_actions:
-            if choice_action.dest == name:
-                help_text = (choice_action.help or "").strip()
-                break
-        lines.append(f"- [`{name}`](#{name}) — {help_text}")
-    for name in names:
-        child = sub.choices[name]
-        lines += ["", f"## {name}", ""]
-        for choice_action in sub._choices_actions:
-            if choice_action.dest == name:
-                help_text = (choice_action.help or "").strip()
-                if help_text:
-                    lines += [help_text, ""]
-                break
-        nested = _subparsers_action(child)
-        actions = list(_walk_actions(child))
-        if not actions and nested is None:
-            lines.append("_No options; arguments pass through verbatim._")
-            continue
-        lines.extend(_render_actions(actions))
-        if nested is not None:
-            # One nested level (e.g. `cluster coordinator`): each child
-            # command gets its own ### section under the parent.
-            for sub_name in nested.choices:
-                lines += ["", f"### {name} {sub_name}", ""]
-                for choice_action in nested._choices_actions:
-                    if choice_action.dest == sub_name:
-                        sub_help = (choice_action.help or "").strip()
-                        if sub_help:
-                            lines += [sub_help, ""]
-                        break
-                grandchild = nested.choices[sub_name]
-                lines.extend(_render_actions(list(_walk_actions(grandchild))))
+    for name in sub.choices:
+        lines.append(f"- [`{name}`](#{name}) — {_choice_help(sub, name)}")
+    for name, child in sub.choices.items():
+        lines += _render_command(name, _choice_help(sub, name), child, 2)
     lines.append("")
     return "\n".join(lines)
 

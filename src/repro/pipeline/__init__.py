@@ -34,54 +34,17 @@ Layers
     backend → persist → merge in input order) for pair and scaling jobs,
     and :func:`run_sweep` / :func:`run_analysis`, the orchestration the
     public entry points (:func:`repro.bench.heatmap.run_heatmap`, the
-    compare engine, the service and the CLI) build on.
+    compare engine and the kinds table) build on.
 :mod:`repro.pipeline.scaling`
     The many-core axis: :func:`run_scaling_sweep` runs one interface's
     matrix across an ncores ladder (ANALYZER/TESTGEN once per pair,
     MTRACE replayed per rung) and writes the schema-versioned
     ``results/scaling_<interface>.json`` conflict-fraction-vs-ncores
     curve with per-core Amdahl-model cost counters.
-:mod:`repro.pipeline.cli`
-    The unified ``python -m repro`` command line.
 
-Command line
-============
-
-``python -m repro <command> [options]``:
-
-``analyze``
-    ANALYZER over the pair matrix; writes per-pair path counts and
-    commutativity conditions to ``results/analyze.json``.
-``heatmap``
-    The full Figure 6 pipeline; writes ``results/fig6_heatmap.json``
-    in the schema :mod:`repro.browser` reads.
-``scaling``
-    The conflict-fraction-vs-ncores scaling curve across an ncores
-    ladder (default 2,4,16,64,128,480) to
-    ``results/scaling_<interface>.json`` — exit 1 when a
-    ``--gate-monotonic`` kernel's curve decreases.
-``testgen``
-    TESTGEN case counts (optionally rendered Figure-5-style C) to
-    ``results/testgen.json``.
-``bench``
-    The Figure 7 microbenchmarks (statbench / openbench / mailserver)
-    to ``results/bench_<suite>.json``.
-``compare``
-    A registered §4-style redesign comparison (see
-    :mod:`repro.compare`): both sides end-to-end, claim checked, to
-    ``results/compare_<name>.json`` — exit 1 when the claim fails.
-``browse``
-    The terminal browser over a saved heatmap artifact
-    (``browse compare A B`` diffs two artifacts cell by cell).
-
-Shared options: ``--backend NAME`` (execution backend: ``serial``,
-``pool``, ``work-stealing``, ``subprocess-shard``, ``cluster``),
-``--workers N`` (worker count, ``0`` = all cores; without ``--backend``,
-``1`` is serial and anything else the pool), ``--cache PATH`` (persistent result cache),
-``--pairs a,b`` (repeatable pair filter), ``--ops a,b,c`` (matrix
-restriction), ``--out PATH`` (artifact location, default under
-``results/``).  ``python -m repro docs`` regenerates ``docs/cli.md``
-from the live argparse tree.
+The command line over all of this is :mod:`repro.cli` (reference:
+``docs/cli.md``, generated from the parser); the sweep kinds it and the
+service offer are declared once, in :mod:`repro.kinds`.
 
 Cache layout
 ============

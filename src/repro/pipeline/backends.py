@@ -72,6 +72,7 @@ Authoring guide: ``docs/backends.md``.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import os
 import pickle
 import queue
@@ -212,6 +213,10 @@ class UnknownBackendError(ValueError):
 
 _REGISTRY: dict[str, type] = {}
 
+#: Backends that live above this package: name -> the module that
+#: registers it, imported the first time the name is asked for.
+_ELSEWHERE = {"cluster": "repro.cluster.backend"}
+
 
 def register_backend(cls: type) -> type:
     """Register an :class:`ExecutionBackend` subclass under ``cls.name``
@@ -222,7 +227,7 @@ def register_backend(cls: type) -> type:
 
 def backend_names() -> list[str]:
     """Registered backend names, in registration order."""
-    return list(_REGISTRY)
+    return list(_REGISTRY) + [n for n in _ELSEWHERE if n not in _REGISTRY]
 
 
 def get_backend(
@@ -242,6 +247,8 @@ def get_backend(
         if normalize_workers(workers, none_means=1) == 1:
             return SerialBackend()
         return PoolBackend(workers=workers)
+    if backend in _ELSEWHERE:
+        importlib.import_module(_ELSEWHERE[backend])
     try:
         cls = _REGISTRY[backend]
     except KeyError:
@@ -300,18 +307,24 @@ class PoolBackend(ExecutionBackend):
         with ProcessPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
             in_flight = {}
             next_job = 0
-            while next_job < len(pending) or in_flight:
-                while next_job < len(pending) and len(in_flight) < self.max_pending:
-                    fn, job = pending[next_job]
-                    future = pool.submit(fn, job)
-                    in_flight[future] = next_job
-                    next_job += 1
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = in_flight.pop(future)
-                    results[index] = future.result()
-                    if on_result is not None:
-                        on_result(pending[index][1], results[index])
+            try:
+                while next_job < len(pending) or in_flight:
+                    while next_job < len(pending) and len(in_flight) < self.max_pending:
+                        fn, job = pending[next_job]
+                        future = pool.submit(fn, job)
+                        in_flight[future] = next_job
+                        next_job += 1
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        index = in_flight.pop(future)
+                        results[index] = future.result()
+                        if on_result is not None:
+                            on_result(pending[index][1], results[index])
+            finally:
+                # A job or on_result raised (a cancelled service job does):
+                # what has not started must not run before the pool exits.
+                for future in in_flight:
+                    future.cancel()
         return results
 
 
@@ -551,11 +564,3 @@ def format_backend_stats(stats: dict) -> str:
             continue
         parts.append(f"{key}={stats[key]}")
     return " ".join(parts)
-
-
-# The distributed backend lives in its own package but registers here
-# like every built-in.  Module-form import: if repro.cluster.backend is
-# mid-import (it imports this module), the partial module object in
-# sys.modules satisfies this statement and registration completes when
-# its body finishes.
-import repro.cluster.backend  # noqa: E402,F401

@@ -55,6 +55,9 @@ from repro.pipeline.jobs import PairJob
 
 CACHE_VERSION = 1
 
+#: Where the batch CLI and the service keep the cache unless told otherwise.
+DEFAULT_CACHE = "results/pipeline-cache.json"
+
 
 def atomic_write_json(path: str, payload: dict) -> str:
     """Write JSON via tmp file + rename, creating parent directories.

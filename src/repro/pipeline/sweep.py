@@ -13,7 +13,7 @@ input order regardless of execution order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -21,6 +21,7 @@ from repro.model.base import OpDef
 from repro.pipeline.backends import get_backend
 from repro.pipeline.cache import as_cache, job_fingerprint
 from repro.pipeline.jobs import (
+    DEFAULT_KERNELS,
     PairCellData,
     PairJob,
     PairSummary,
@@ -467,6 +468,25 @@ class AnalysisSweep:
         return merge_solver_stats(self.summaries)
 
 
+def _analysis_progress(job: PairJob, summary: PairSummary, cached: bool) -> str:
+    return f"{summary.commutative_paths}/{summary.explored_paths} paths commute"
+
+
+def build_analysis_jobs(
+    ops: Sequence[OpDef],
+    pair_filter: Optional[Callable[[OpDef, OpDef], bool]] = None,
+    solver_cache_size: Optional[int] = None,
+    interface: str = "posix",
+) -> list[PairJob]:
+    """The ANALYZER-only matrix as :class:`PairJob`\\ s.  No kernel runs,
+    so every interface's jobs carry the default kernels — which is what
+    the service's ``analyze`` request keys have always fingerprinted."""
+    return build_pair_jobs(
+        ops=ops, kernels=DEFAULT_KERNELS, pair_filter=pair_filter,
+        solver_cache_size=solver_cache_size, interface=interface,
+    )
+
+
 def run_analysis(
     ops: Optional[Sequence[OpDef]] = None,
     workers: Optional[int] = None,
@@ -476,41 +496,34 @@ def run_analysis(
     solver_cache_size: Optional[int] = None,
     interface: str = "posix",
     backend: Optional[object] = None,
+    on_pair: Optional[Callable[[PairJob, PairSummary, bool, float], None]] = None,
 ) -> AnalysisSweep:
-    """ANALYZER over the pair matrix, summaries only (no TESTGEN/MTRACE)."""
+    """ANALYZER over the pair matrix, summaries only (no TESTGEN/MTRACE).
+
+    An uncached :func:`execute_jobs` batch, so ``on_progress`` and
+    ``on_pair`` mean what they mean for :func:`run_sweep`."""
     from repro.model.registry import get_interface
 
-    iface = get_interface(interface)
     if ops is None:
-        ops = iface.ops
+        ops = get_interface(interface).ops
     ops = list(ops)
     start = time.time()
-    jobs = [
-        PairJob(a, b, solver_cache_size=solver_cache_size,
-                build_state=iface.build_state, state_equal=iface.state_equal,
-                interface=interface)
-        for a, b in iter_pairs(ops, pair_filter)
-    ]
-
-    def report(job: PairJob, summary: PairSummary) -> None:
-        if on_progress is not None:
-            on_progress(
-                f"{summary.op0}/{summary.op1}: "
-                f"{summary.commutative_paths}/{summary.explored_paths} "
-                f"paths commute"
-            )
-
-    resolved = get_backend(backend, workers)
-    summaries = resolved.map(
-        partial(run_analyze_job, condition_chars=condition_chars),
-        jobs, on_result=report,
+    executed = execute_jobs(
+        build_analysis_jobs(ops, pair_filter, solver_cache_size, interface),
+        workers=workers, on_progress=on_progress, backend=backend,
+        on_pair=on_pair,
+        kind=replace(
+            PAIR_JOBS,
+            run=partial(run_analyze_job, condition_chars=condition_chars),
+            progress=_analysis_progress, run_timed=None,
+        ),
     )
     return AnalysisSweep(
-        summaries=summaries,
+        summaries=executed.cells,
         op_names=[op.name for op in ops],
         elapsed_seconds=time.time() - start,
-        workers=resolved.workers,
+        workers=executed.workers,
         interface=interface,
-        backend=resolved.name,
-        backend_stats=resolved.stats(),
+        backend=executed.backend,
+        backend_stats=executed.backend_stats,
     )

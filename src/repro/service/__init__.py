@@ -27,11 +27,11 @@ Layers
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import DEFAULT_HOST, DEFAULT_PORT, ServiceServer
+from repro.kinds import BadRequest
 from repro.service.jobs import (
     JOB_KINDS,
     JOB_SCHEMA,
     TERMINAL,
-    BadRequest,
     JobCancelled,
     JobManager,
     JobRecord,

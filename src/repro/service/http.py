@@ -32,7 +32,8 @@ import threading
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.service.jobs import BadRequest, JobManager
+from repro.kinds import BadRequest
+from repro.service.jobs import JobManager
 from repro.service.store import UnknownArtifactError
 
 DEFAULT_HOST = "127.0.0.1"

@@ -130,3 +130,9 @@ def staticpredict_payload(interface: str, kernels=None) -> dict:
         "summary": summary,
         "footprints": footprints,
     }
+
+
+def staticpredict_artifact_path(interface: str) -> str:
+    """Default ``lint`` conflict-map artifact path (always
+    interface-suffixed: the map is inherently per-interface)."""
+    return f"results/staticpredict_{interface}.json"

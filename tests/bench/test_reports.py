@@ -186,7 +186,7 @@ class TestGateCli:
             assert isinstance(entry["wall_s"], (int, float))
 
     def test_repro_cli_subcommand(self, tmp_path, capsys):
-        from repro.pipeline.cli import main as repro_main
+        from repro.cli import main as repro_main
 
         write_bench_report("fast", 0.5, {"decisions": 100},
                            directory=str(tmp_path))

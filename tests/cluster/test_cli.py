@@ -1,8 +1,9 @@
-"""The ``--backend cluster`` CLI surface and ``repro cluster ...``.
+"""The ``--backend cluster`` CLI surface and ``repro cluster worker``.
 
 Everything runs in-process through ``cli.main`` — the spawned workers
-are the only subprocesses — so flag validation, the coordinator
-command, and the printed recovery counters are pinned cheaply.
+are the only subprocesses — so flag validation, the explicit
+deployment (``--cluster-listen`` plus ``REPRO_CLUSTER_*``), and the
+printed recovery counters are pinned cheaply.
 """
 
 import json
@@ -11,7 +12,7 @@ import re
 import pytest
 
 from repro.bench.report import strip_volatile_heatmap
-from repro.pipeline import cli
+from repro import cli
 
 OPS = "link,stat"
 
@@ -61,12 +62,17 @@ class TestHeatmapClusterFlags:
 
 
 class TestClusterCoordinatorCommand:
+    """The explicit deployment: ``heatmap --backend cluster
+    --cluster-listen``, configured through ``REPRO_CLUSTER_*``."""
+
     def test_explicit_deployment_matches_serial(self, tmp_path, capsys,
+                                                monkeypatch,
                                                 serial_artifact):
+        monkeypatch.setenv("REPRO_CLUSTER_MIN_WORKERS", "2")
         out = str(tmp_path / "cluster.json")
         rc = cli.main([
-            "cluster", "coordinator", "--listen", "127.0.0.1:0",
-            "--spawn-local", "2", "--min-workers", "2",
+            "heatmap", "--backend", "cluster",
+            "--cluster-listen", "127.0.0.1:0", "--spawn-local", "2",
             "--ops", OPS, "--no-cache", "--out", out,
         ])
         assert rc == 0
@@ -75,18 +81,21 @@ class TestClusterCoordinatorCommand:
         assert re.search(
             r"cluster coordinator listening on 127\.0\.0\.1:\d+", printed
         )
+        assert "[coordinator]" in printed
+        assert json.load(open(out))["backend_stats"]["workers_joined"] == 2
 
     def test_fault_injection_surfaces_requeue_counter(self, tmp_path,
-                                                      capsys,
+                                                      capsys, monkeypatch,
                                                       serial_artifact):
         # The CI gate in .github/workflows/ci.yml greps for exactly
         # this: a mid-sweep worker kill that still completes, with
         # jobs_requeued >= 1 printed and parity intact.
+        monkeypatch.setenv("REPRO_CLUSTER_MIN_WORKERS", "2")
+        monkeypatch.setenv("REPRO_CLUSTER_FAULT", "kill-after-result=1")
         out = str(tmp_path / "faulted.json")
         rc = cli.main([
-            "cluster", "coordinator", "--listen", "127.0.0.1:0",
-            "--spawn-local", "2", "--min-workers", "2",
-            "--fault", "kill-after-result=1",
+            "heatmap", "--backend", "cluster",
+            "--cluster-listen", "127.0.0.1:0", "--spawn-local", "2",
             "--ops", OPS, "--no-cache", "--out", out,
         ])
         assert rc == 0
@@ -95,10 +104,11 @@ class TestClusterCoordinatorCommand:
         assert re.search(r"jobs_requeued=[1-9]", printed)
         assert json.load(open(out))["backend_stats"]["workers_lost"] == 1
 
-    def test_bad_fault_spec_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="cluster coordinator"):
+    def test_bad_fault_spec_is_a_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CLUSTER_FAULT", "frobnicate=1")
+        with pytest.raises(SystemExit, match="--backend cluster"):
             cli.main([
-                "cluster", "coordinator", "--fault", "frobnicate=1",
+                "heatmap", "--backend", "cluster", "--spawn-local", "2",
                 "--ops", OPS, "--no-cache",
                 "--out", str(tmp_path / "x.json"),
             ])

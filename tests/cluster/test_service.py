@@ -49,6 +49,26 @@ class TestClusterJobs:
         for key in ("backend", "backend_stats", "workers"):
             assert key not in payload
 
+    def test_one_coordinator_lifecycle_per_job(self, manager, monkeypatch):
+        """A job is one backend drain: three pairs on a two-worker fleet
+        bind, spawn and tear down exactly once (the chunked service
+        paid that per ``workers``-sized chunk)."""
+        from repro.cluster.coordinator import Coordinator
+
+        starts = []
+        start = Coordinator.start
+        monkeypatch.setattr(
+            Coordinator, "start",
+            lambda self: starts.append(self) or start(self),
+        )
+        record = wait_done(
+            manager,
+            manager.submit("heatmap", dict(PARAMS, backend="cluster")).id,
+        )
+        assert record.status == "done", record.error
+        assert record.computed_pairs == 3
+        assert len(starts) == 1
+
     def test_serial_resubmission_hits_the_cluster_jobs_memo(self, manager):
         first = wait_done(
             manager,

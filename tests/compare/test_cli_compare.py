@@ -13,7 +13,7 @@ from repro.compare import (
     register_redesign,
     unregister_redesign,
 )
-from repro.pipeline.cli import main as cli_main
+from repro.cli import main as cli_main
 
 #: A deliberately failing spec over the tiny send/send matrix: both
 #: sides are identical, so no fraction can be strictly higher.

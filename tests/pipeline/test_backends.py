@@ -7,6 +7,8 @@ backend identity must never reach a cache fingerprint.
 """
 
 import json
+import os
+import time
 
 import pytest
 
@@ -246,6 +248,27 @@ class TestCacheAcrossBackends:
                 strip_volatile_heatmap(reference)
 
 
+def _mark_and_linger(path):
+    open(path, "w").close()
+    time.sleep(0.2)
+    return path
+
+
+class TestRaisingOnResult:
+    def test_pool_drops_queued_jobs_when_on_result_raises(self, tmp_path):
+        """A cancelled service job raises from ``on_result``; the pool
+        must not run its whole submission window before unwinding."""
+        jobs = [str(tmp_path / f"job{i}") for i in range(8)]
+
+        def stop(job, result):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            PoolBackend(workers=2).map(_mark_and_linger, jobs, on_result=stop)
+        started = [job for job in jobs if os.path.exists(job)]
+        assert 1 <= len(started) < len(jobs)
+
+
 class TestStatsFormatting:
     def test_identity_keys_suppressed(self):
         line = format_backend_stats(
@@ -276,3 +299,39 @@ class TestRemovedNamesStayRemoved:
 
         module = importlib.import_module(package)
         assert [n for n in self.REMOVED if hasattr(module, n)] == []
+
+    def test_hand_kept_kind_copies_are_not_importable(self):
+        """PR 14 made the kinds table (``repro.kinds``) the one
+        declaration; the per-kind copies around it stay deleted."""
+        import importlib.util
+
+        import repro.cli.cluster
+        import repro.cli.service
+        import repro.cli.sweeps
+        import repro.service.jobs
+
+        assert importlib.util.find_spec("repro.pipeline.cli") is None
+        removed = ("cmd_cluster_coordinator", "cmd_analyze", "cmd_heatmap",
+                   "cmd_scaling", "cmd_compare", "_submit_params", "_chunks")
+        for module in (repro.cli.cluster, repro.cli.service,
+                       repro.cli.sweeps, repro.service.jobs):
+            assert [n for n in removed if hasattr(module, n)] == []
+        runners = [n for n in vars(repro.service.jobs.JobManager)
+                   if n.startswith("_run_") or n == "_normalize_params"]
+        assert runners == []
+
+    def test_cluster_registers_on_first_use(self):
+        """``pipeline`` no longer imports ``cluster``: the name is
+        listed from a name -> module entry and imported when asked for."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.pipeline.backends as b\n"
+            "assert b.backend_names()[-1] == 'cluster'\n"
+            "assert 'repro.cluster.backend' not in sys.modules\n"
+            "assert b.get_backend('cluster', 1).name == 'cluster'\n"
+            "assert 'repro.cluster.backend' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={"PYTHONPATH": os.pathsep.join(sys.path)})

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from repro.pipeline import cli
+from repro import cli
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))

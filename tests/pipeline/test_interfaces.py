@@ -8,7 +8,7 @@ import pytest
 
 from repro.model.registry import get_interface
 from repro.pipeline import PairJob, job_fingerprint, run_sweep
-from repro.pipeline.cli import main as cli_main
+from repro.cli import main as cli_main
 from repro.pipeline.sweep import summarize_interface_sweep
 
 

@@ -306,9 +306,7 @@ class TestCli:
         assert result.returncode != 0
 
     def test_help_text_pins_default_ladder(self):
-        # cli.py hardcodes the ladder in the help string to keep the
-        # parser import-light; this pin keeps it honest.
-        from repro.pipeline.cli import build_parser
+        from repro.cli import build_parser
 
         parser = build_parser()
         text = parser.format_help()

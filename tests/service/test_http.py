@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.kinds import BadRequest, normalize
 from repro.service import (
     ArtifactStore,
     JobManager,
@@ -57,16 +58,19 @@ class TestRoutes:
         assert err.value.status == 404
 
     def test_bad_submission_400s(self, service):
+        """The 400 body is ``normalize``'s message, verbatim."""
         client, _ = service
-        with pytest.raises(ServiceError) as err:
-            client.submit("frobnicate")
-        assert err.value.status == 400
-        with pytest.raises(ServiceError) as err:
-            client.submit("heatmap", {"interface": "nope"})
-        assert err.value.status == 400
-        with pytest.raises(ServiceError) as err:
-            client.submit("heatmap", {"ncores": True})
-        assert err.value.status == 400
+        for kind, params in [
+            ("frobnicate", {}),
+            ("heatmap", {"interface": "nope"}),
+            ("heatmap", {"ncores": True}),
+        ]:
+            with pytest.raises(BadRequest) as direct:
+                normalize(kind, params)
+            with pytest.raises(ServiceError) as err:
+                client.submit(kind, params)
+            assert err.value.status == 400
+            assert str(direct.value) in str(err.value)
 
     def test_malformed_body_400s(self, service):
         import http.client

@@ -1,12 +1,16 @@
 """Job lifecycle: events, store memoization, cancellation, errors, and
 incremental re-analysis after a spec edit."""
 
+import os
 import threading
+import time
 
 import pytest
 
 from repro.model.base import OpDef
 from repro.model.posix import op_by_name
+from repro.kinds import get_kind, normalize
+from repro.pipeline.cache import ResultCache, job_fingerprint
 from repro.service import ArtifactStore, BadRequest, JobManager
 
 from tests.service.conftest import wait_done
@@ -21,6 +25,16 @@ STARTED = threading.Event()
 def _gated_link(s, ex, rt, **kwargs):
     STARTED.set()
     GATE.wait(timeout=120)
+    return op_by_name("link").fn(s, ex, rt, **kwargs)
+
+
+def _file_gated_link(s, ex, rt, **kwargs):
+    # The cross-process gate: pool workers are forked children, which
+    # only share the environment and the filesystem with the test.
+    deadline = time.monotonic() + 120
+    while not os.path.exists(os.environ["REPRO_TEST_GATE"]):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
     return op_by_name("link").fn(s, ex, rt, **kwargs)
 
 
@@ -180,6 +194,45 @@ class TestCancellation:
         assert record.events[-1]["event"] == "cancelled"
         assert record.artifact is None
 
+    def test_cancel_under_pool_keeps_every_finished_pair(
+            self, manager, scratch_interface, tmp_path, monkeypatch):
+        """A parallel backend cancels the same way: the callback raises
+        after a finished pair was persisted, so every pair the stream
+        reported is in the cache, and the job is one backend drain."""
+        gate = tmp_path / "gate"
+        monkeypatch.setenv("REPRO_TEST_GATE", str(gate))
+        link = op_by_name("link")
+        scratch_interface(
+            "svc-cancel-pool",
+            [op_by_name("stat"),
+             OpDef("link", link.params, _file_gated_link)],
+        )
+        record = manager.submit(
+            "heatmap", {"interface": "svc-cancel-pool", "backend": "pool",
+                        "workers": 2},
+        )
+        # stat|stat finishes; both pairs that use link are held.
+        deadline = time.monotonic() + 120
+        while not _pair_events(record):
+            assert time.monotonic() < deadline
+            manager.wait_events(record.id, len(record.events), timeout=1.0)
+        assert manager.cancel(record.id) is True
+        gate.touch()
+        record = wait_done(manager, record.id)
+        assert record.status == "cancelled"
+        assert record.artifact is None
+        reported = [e["pair"] for e in _pair_events(record)]
+        assert reported[0] == "stat|stat" and len(reported) == 2
+        assert record.computed_pairs == 2
+        cache = ResultCache(manager.cache.path)
+        jobs = {
+            f"{j.op0.name}|{j.op1.name}": j
+            for j in get_kind("heatmap").build_jobs(record.params)
+        }
+        for pair in reported:
+            job = jobs[pair]
+            assert cache.get(job.key, job_fingerprint(job)) is not None
+
     def test_cancel_queued_job_runs_no_pairs(self, tmp_path,
                                              scratch_interface):
         link = op_by_name("link")
@@ -256,26 +309,34 @@ class TestIncrementalReanalysis:
         assert second.artifact == first.artifact
 
 
+def _rejected(manager, kind, params, match):
+    """``normalize`` — the one validator — rejects the request, and the
+    manager (hence the HTTP 400 body) says exactly the same thing."""
+    with pytest.raises(BadRequest, match=match) as direct:
+        normalize(kind, params)
+    with pytest.raises(BadRequest) as served:
+        manager.submit(kind, params)
+    assert str(served.value) == str(direct.value)
+    assert manager.list() == []
+
+
 class TestValidation:
     def test_unknown_kind(self, manager):
-        with pytest.raises(BadRequest, match="unknown job kind"):
-            manager.submit("frobnicate", {})
+        _rejected(manager, "frobnicate", {}, "unknown job kind")
 
     def test_unknown_interface(self, manager):
-        with pytest.raises(BadRequest, match="no interface named"):
-            manager.submit("heatmap", {"interface": "nope"})
+        _rejected(manager, "heatmap", {"interface": "nope"},
+                  "no interface named")
 
     def test_unknown_op(self, manager):
-        with pytest.raises(BadRequest, match="unknown operation"):
-            manager.submit("heatmap", {"ops": ["link", "frob"]})
+        _rejected(manager, "heatmap", {"ops": ["link", "frob"]},
+                  "unknown operation")
 
     def test_unknown_parameter(self, manager):
-        with pytest.raises(BadRequest, match="unknown parameter"):
-            manager.submit("heatmap", {"cores": 4})
+        _rejected(manager, "heatmap", {"cores": 4}, "unknown parameter")
 
     def test_bad_ncores(self, manager):
-        with pytest.raises(BadRequest, match="ncores"):
-            manager.submit("heatmap", {"ncores": 0})
+        _rejected(manager, "heatmap", {"ncores": 0}, "ncores")
 
     @pytest.mark.parametrize("kind,params", [
         ("heatmap", {"ncores": True}),
@@ -292,23 +353,23 @@ class TestValidation:
         validate, then key and store a second copy of the ``"ncores": 1``
         artifact under a different digest."""
         bad = next(k for k in params if k != "name")
-        with pytest.raises(BadRequest, match=bad):
-            manager.submit(kind, params)
-        assert manager.list() == []
+        _rejected(manager, kind, params, bad)
 
     def test_unknown_backend(self, manager):
-        with pytest.raises(BadRequest, match="unknown backend"):
-            manager.submit("heatmap", {"backend": "gpu"})
+        _rejected(manager, "heatmap", {"backend": "gpu"}, "unknown backend")
 
     def test_compare_needs_a_name(self, manager):
-        with pytest.raises(BadRequest, match="'name'"):
-            manager.submit("compare", {})
+        _rejected(manager, "compare", {}, "'name'")
 
     def test_unknown_redesign(self, manager):
-        with pytest.raises(BadRequest, match="sockets"):
-            manager.submit("compare", {"name": "frob"})
+        _rejected(manager, "compare", {"name": "frob"}, "sockets")
 
     def test_bad_submission_creates_no_job(self, manager):
         with pytest.raises(BadRequest):
             manager.submit("heatmap", {"interface": "nope"})
         assert manager.list() == []
+
+    def test_another_kinds_parameter_is_ignored(self, manager):
+        # The pre-registry validator knew one global parameter set;
+        # clients that send a superset keep working.
+        assert "ladder" not in normalize("heatmap", {"ladder": [2, 4]})

@@ -104,7 +104,7 @@ def _lint_args(**overrides):
 
 def test_gate_fails_on_unwaived_finding(monkeypatch, tmp_path, capsys):
     import repro.staticcheck.linter as linter
-    from repro.pipeline import cli
+    from repro.cli import lint as cli
     from repro.staticcheck.linter import Finding
 
     monkeypatch.chdir(tmp_path)
@@ -119,7 +119,7 @@ def test_gate_fails_on_unwaived_finding(monkeypatch, tmp_path, capsys):
 
 def test_waived_findings_do_not_gate(monkeypatch, tmp_path, capsys):
     import repro.staticcheck.linter as linter
-    from repro.pipeline import cli
+    from repro.cli import lint as cli
     from repro.staticcheck.linter import Finding
 
     monkeypatch.chdir(tmp_path)
@@ -135,7 +135,7 @@ def test_precision_floor_gates(monkeypatch, tmp_path):
     # Patch the floor table so the mono kernel (precision 0 on the
     # unordered sockets: statically all-conflict, dynamically clean in
     # this fake heatmap) trips the precision failure path end-to-end.
-    from repro.pipeline import cli
+    from repro.cli import lint as cli
 
     heatmap = {
         "schema": "repro.heatmap/1",

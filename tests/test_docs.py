@@ -42,7 +42,7 @@ class TestCliReference:
             "docs/cli.md is stale; run `python -m repro docs`"
 
     def test_every_subcommand_documented(self):
-        from repro.pipeline.cli import build_parser
+        from repro.cli import build_parser
         import argparse
 
         parser = build_parser()
